@@ -149,6 +149,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     recoil = abs(field.recoil_momentum)
     if not 0.0 <= args.c0sq <= 1.0:
         raise DomainError(f"c0sq must lie in [0, 1], got {args.c0sq}")
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise DomainError(f"t-max must be finite and positive, got {args.t_max}")
     spec = WavepacketSpec(
         center_momentum=args.pc_hbark * recoil,
         momentum_width=args.pi_hbark * recoil,
@@ -219,8 +221,12 @@ def _cmd_separate(args: argparse.Namespace) -> str:
         names = [n.strip() for n in args.pair.split(",") if n.strip()]
     if len(names) < 2:
         raise UsageError("separate needs at least two species names")
+    if len(set(names)) < len(names):
+        raise UsageError(f"species names repeat in --pair {args.pair!r}")
     if not 0.0 <= args.c0sq <= 1.0:
         raise DomainError(f"c0sq must lie in [0, 1], got {args.c0sq}")
+    if not math.isfinite(args.t):
+        raise DomainError(f"t must be finite, got {args.t}")
     members = [
         MixtureMember(_species(catalog, n), args.c0sq, 1.0 - args.c0sq) for n in names
     ]

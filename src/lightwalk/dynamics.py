@@ -50,8 +50,10 @@ class LightField:
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength}")
-        if self.rabi < 0:
-            raise DomainError(f"rabi must be non-negative, got {self.rabi}")
+        if not (math.isfinite(self.rabi) and self.rabi >= 0):
+            raise DomainError(f"rabi must be finite and non-negative, got {self.rabi}")
+        if not math.isfinite(self.detuning):
+            raise DomainError(f"detuning must be finite, got {self.detuning}")
         expected = 2.0 * math.pi / self.wavelength
         if not math.isclose(abs(self.wavenumber), expected, rel_tol=1e-12):
             raise DomainError("|wavenumber| must equal 2 pi / wavelength")
@@ -129,6 +131,8 @@ class WavepacketSpec:
     def __post_init__(self) -> None:
         if not self.momentum_width > 0:
             raise DomainError(f"momentum width must be positive, got {self.momentum_width}")
+        if not math.isfinite(self.initial_position):
+            raise DomainError(f"initial position must be finite, got {self.initial_position}")
         total = abs(self.ground_amp) ** 2 + abs(self.excited_amp) ** 2
         if abs(total - 1.0) > _NORM_TOL:
             raise DomainError(f"internal amplitudes must be normalized, got norm {total}")

@@ -109,6 +109,14 @@ def test_table1_detail_names_the_inconsistent_row():
     assert validation.EU_NOTE in result.detail
 
 
+def test_table1_reports_fail_when_no_row_passes(monkeypatch):
+    monkeypatch.setattr(validation, "average_speed", lambda sp: 2.0 * average_speed(sp))
+    result = validation.check_table1_speeds()
+    assert result.passed is False
+    assert result.detail.startswith(f"0/{len(embedded_table1())} rows within 0.05%;")
+    assert len(named_rows(result.detail)) == len(embedded_table1())
+
+
 def test_validate_command_prints_one_line_per_check():
     from lightwalk.cli import run
 

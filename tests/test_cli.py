@@ -126,6 +126,31 @@ def test_domain_errors_exit_4():
     assert run(["separate", "--pair", "Mg-24,Mg-25", "--t", "-1"])[0] == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--species", "Mg-24", "--omega", "nan", "--t-max", "1e-6", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--omega", "inf", "--t-max", "1e-6", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--omega", "inf", "--t-max", "1e-6"],
+        ["simulate", "--species", "Mg-24", "--delta", "nan", "--t-max", "1e-6", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--delta=-inf", "--t-max", "1e-6", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--t-max", "nan"],
+        ["simulate", "--species", "Mg-24", "--t-max", "inf"],
+        ["simulate", "--species", "Mg-24", "--t-max", "nan", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--x0", "nan", "--t-max", "1e-6", "--steps", "20"],
+        ["separate", "--pair", "Mg-24,Mg-25", "--t", "nan"],
+        ["separate", "--pair", "Mg-24,Mg-25", "--t", "inf"],
+    ],
+)
+def test_non_finite_input_exits_4(argv):
+    assert run(argv) == (EXIT_DOMAIN, "")
+
+
+def test_separate_repeated_name_is_usage_error():
+    assert run(["separate", "--pair", "Mg-24,Mg-24", "--t", "42e-6"]) == (EXIT_USAGE, "")
+    assert run(["separate", "--pair", "Mg-24,Mg-25,Mg-24", "--t", "42e-6"]) == (EXIT_USAGE, "")
+
+
 def test_validate_single_check():
     code, out = run(["validate", "--only", "catalog-roundtrip"])
     assert code == EXIT_OK

@@ -142,6 +142,56 @@ def test_randomized_agreement_batch():
     assert worst < 1e-7
 
 
+def stepwise_rk4(matrix, y, t, dt):
+    """Classical four-stage RK4 for one matrix, one explicit step at a time."""
+    rhs_t = (-1j * matrix).T  # y @ rhs_t applies the right-hand side to (..., 2) rows
+    full = math.floor(t / dt + 1e-9)
+    for h in [dt] * full + [max(t - full * dt, 0.0)]:
+        k1 = y @ rhs_t
+        k2 = (y + 0.5 * h * k1) @ rhs_t
+        k3 = (y + 0.5 * h * k2) @ rhs_t
+        k4 = (y + h * k3) @ rhs_t
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_polynomial_form_is_stepwise_rk4():
+    rng = np.random.default_rng(17)
+    n = 6
+    rabis = rng.uniform(0.5e6, 2e6, size=n)
+    shifts = rng.uniform(-2.0, 2.0, size=n) * rabis
+    matrices = np.stack(
+        [block_hamiltonian(0.0, field_with_shift(s, r), MASS) for s, r in zip(shifts, rabis)]
+    )
+    dts = rng.uniform(0.001, 0.003, size=n) / np.hypot(shifts, rabis)
+    t = rng.uniform(500, 3000, size=n) * dts
+    t[0] = 0.4 * dts[0]  # no full step, remainder only
+    t[1] = 1200 * dts[1]  # an exact multiple of dt: no remainder left
+    assert math.floor(t[0] / dts[0] + 1e-9) == 0
+    assert math.floor(t[1] / dts[1] + 1e-9) == 1200
+    inits = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+
+    out = rk4_propagate(matrices, inits, t, dts)
+    for i in range(n):
+        expected = stepwise_rk4(matrices[i], inits[i], t[i], dts[i])
+        assert np.abs(out[i] - expected).max() <= 1e-12
+
+    # one (2, 2) matrix shared by a (100, 2) batch of amplitudes
+    batch = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+    out = rk4_propagate(matrices[2], batch, t[2], dts[2])
+    assert out.shape == (100, 2)
+    assert np.abs(out - stepwise_rk4(matrices[2], batch, t[2], dts[2])).max() <= 1e-12
+
+
+def test_propagate_step_cap_raises_before_work():
+    matrix = block_hamiltonian(0.0, field_with_shift(0.0), MASS)
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(IntegratorError):
+        rk4_propagate(matrix, y0, 1e-6, 1e-9, max_steps=10)
+    with pytest.raises(IntegratorError):
+        rk4_propagate(matrix, y0, 1e6, 1e-9)  # 1e15 steps, far over the default cap
+
+
 def test_suggested_dt_resolves_fastest_scale():
     field = field_with_shift(2e6, 1e6)
     dt = suggested_dt(field, shift_bound=2e6)
