@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .catalog import Species
 from .constants import HBAR, PAPER_CONSTANTS, PhysicalConstants, mass_to_si, wavenumber
-from .errors import DegenerateBlockError, DomainError, GridCoverageError
+from .errors import DomainError, GridCoverageError
 
 _NORM_TOL = 1e-12
 
@@ -191,25 +191,6 @@ class BlockAmplitudes:
 
 
 @dataclass(frozen=True)
-class DressedBlock:
-    """Diagonalized data of one momentum block.
-
-    ``ground_plus``/``ground_minus`` (and the excited pair) are the
-    amplitudes of the +/- effective-Rabi frequency components that the
-    initial condition projects onto.
-    """
-
-    shift: float
-    effective_rabi: float
-    freq_low: float
-    freq_high: float
-    ground_plus: complex
-    ground_minus: complex
-    excited_plus: complex
-    excited_minus: complex
-
-
-@dataclass(frozen=True)
 class QuantumState:
     """Wavepacket on a momentum grid at one instant.
 
@@ -222,7 +203,6 @@ class QuantumState:
     excited: np.ndarray
     mass_kg: float
     field: LightField
-    time: float = 0.0
 
     def norm(self) -> float:
         dp = self.grid.spacing
@@ -231,10 +211,6 @@ class QuantumState:
 
     def excited_population(self) -> float:
         return float((np.abs(self.excited) ** 2).sum() * self.grid.spacing)
-
-    def blocks(self) -> Iterator[BlockAmplitudes]:
-        for p, g, e in zip(self.grid.points(), self.ground, self.excited):
-            yield BlockAmplitudes(float(p), complex(g), complex(e))
 
 
 @dataclass(frozen=True)
@@ -306,82 +282,20 @@ def band_structure(grid: MomentumGrid, field: LightField, mass_kg: float) -> Ban
     return BandStructure(p, low, high, bare_ground, bare_excited)
 
 
-def block_coefficients(
-    init: BlockAmplitudes, shift: float, eff_rabi: float, rabi: float
-) -> tuple[complex, complex, complex, complex]:
-    """Project an initial block onto its +/- frequency components.
+def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):
+    """Exact amplitudes of momentum blocks after time t >= 0.
 
-    Returns (ground_plus, ground_minus, excited_plus, excited_minus):
-
-        g_pm = [(S +- d) g0 +- W e0] / (2 S)
-        e_pm = [(S -+ d) e0 +- W g0] / (2 S)
-
-    with d the block shift, W the coupling and S = sqrt(d^2 + W^2).
+    ``ground0`` multiplies |0,p>, ``excited0`` |1,p+hbar*k>; all of
+    ``ground0``, ``excited0``, ``p`` and ``t`` broadcast, so a scalar call
+    is the 0-d case. Each block rotates at its effective Rabi frequency
+    under the common phase of its frequency trace, so its norm is conserved
+    identically. Blocks with vanishing effective Rabi frequency reduce to
+    that pure common phase (both bare frequencies coincide there), which is
+    the limit the safe divisions below implement.
     """
-    if eff_rabi <= 0:
-        raise DegenerateBlockError(
-            "block has zero coupling and zero shift; use bare-phase evolution"
-        )
-    g0, e0 = init.ground, init.excited
-    two_s = 2.0 * eff_rabi
-    ground_plus = ((eff_rabi + shift) * g0 + rabi * e0) / two_s
-    ground_minus = ((eff_rabi - shift) * g0 - rabi * e0) / two_s
-    excited_plus = ((eff_rabi - shift) * e0 + rabi * g0) / two_s
-    excited_minus = ((eff_rabi + shift) * e0 - rabi * g0) / two_s
-    return ground_plus, ground_minus, excited_plus, excited_minus
-
-
-def dress_block(init: BlockAmplitudes, field: LightField, mass_kg: float) -> DressedBlock:
-    """Diagonalize the block containing ``init`` and project onto it."""
-    shift = block_detuning(init.momentum, field, mass_kg)
-    split = effective_rabi(shift, field.rabi)
-    low, high = dressed_frequencies(init.momentum, field, mass_kg)
-    gp, gm, ep, em = block_coefficients(init, shift, split, field.rabi)
-    return DressedBlock(
-        shift=float(shift),
-        effective_rabi=float(split),
-        freq_low=float(low),
-        freq_high=float(high),
-        ground_plus=gp,
-        ground_minus=gm,
-        excited_plus=ep,
-        excited_minus=em,
-    )
-
-
-def evolve_block_analytic(
-    init: BlockAmplitudes, field: LightField, mass_kg: float, t: float
-) -> BlockAmplitudes:
-    """Exact amplitudes of one block after time t.
-
-    The +/- components beat at the effective Rabi frequency under the
-    common trace phase; the block norm is conserved identically.
-    """
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
-    dressed = dress_block(init, field, mass_kg)
-    half = 0.5 * dressed.effective_rabi * t
-    plus, minus = np.exp(1j * half), np.exp(-1j * half)
-    trace_phase = np.exp(-0.5j * (dressed.freq_low + dressed.freq_high) * t)
-    ground = (dressed.ground_plus * plus + dressed.ground_minus * minus) * trace_phase
-    excited = (dressed.excited_plus * plus + dressed.excited_minus * minus) * trace_phase
-    return BlockAmplitudes(init.momentum, complex(ground), complex(excited))
-
-
-def _evolve_arrays(
-    ground0: np.ndarray,
-    excited0: np.ndarray,
-    p: np.ndarray,
-    field: LightField,
-    mass_kg: float,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact evolution of all blocks by time t.
-
-    Blocks with vanishing effective Rabi frequency reduce to a pure common
-    phase (both bare frequencies coincide there), which is the limit the
-    safe divisions below implement.
-    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise DomainError(f"time must be non-negative, got {t.min()}")
     shift = block_detuning(p, field, mass_kg)
     split = effective_rabi(shift, field.rabi)
     trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
@@ -394,17 +308,6 @@ def _evolve_arrays(
     ground = phase * ((cos_h + 1j * mix_shift) * ground0 + 1j * mix_coupling * excited0)
     excited = phase * (1j * mix_coupling * ground0 + (cos_h - 1j * mix_shift) * excited0)
     return ground, excited
-
-
-def evolve_state(state: QuantumState, t: float) -> QuantumState:
-    """Evolve a state to absolute time t (t >= state.time), exactly."""
-    if t < state.time:
-        raise DomainError("cannot evolve backwards in time")
-    ground, excited = _evolve_arrays(
-        state.ground, state.excited, state.grid.points(), state.field, state.mass_kg,
-        t - state.time,
-    )
-    return QuantumState(state.grid, ground, excited, state.mass_kg, state.field, time=t)
 
 
 def init_gaussian(
@@ -436,7 +339,6 @@ def init_gaussian(
         excited=spec.excited_amp * envelope,
         mass_kg=mass_kg,
         field=field,
-        time=0.0,
     )
 
 
@@ -479,9 +381,7 @@ def simulate(
     dp = grid.spacing
     recoil = field.recoil_momentum
     for i, t in enumerate(times):
-        ground, excited = _evolve_arrays(
-            initial.ground, initial.excited, p, field, mass_kg, float(t)
-        )
+        ground, excited = propagate(initial.ground, initial.excited, p, field, mass_kg, t)
         n_ground = np.abs(ground) ** 2
         n_excited = np.abs(excited) ** 2
         mean_p[i] = ((n_ground * p).sum() + (n_excited * (p + recoil)).sum()) * dp
@@ -537,6 +437,14 @@ def closed_form_velocity(
     return spec.center_momentum / mass_kg + drift * (1.0 - math.cos(field.rabi * t))
 
 
+def check_populations(ground_fraction: float, excited_fraction: float) -> None:
+    """Raise DomainError unless both populations lie in [0, 1] and sum to 1."""
+    if not (0.0 <= ground_fraction <= 1.0 and 0.0 <= excited_fraction <= 1.0):
+        raise DomainError("populations must lie in [0, 1]")
+    if abs(ground_fraction + excited_fraction - 1.0) > _NORM_TOL:
+        raise DomainError("populations must sum to 1")
+
+
 def average_speed(
     species: Species,
     ground_fraction: float = 1.0,
@@ -549,10 +457,7 @@ def average_speed(
     v = pc / M + (n0 - n1) hbar k / (2 M); for a ground-state atom at rest
     this is h / (2 M wavelength).
     """
-    if not (0.0 <= ground_fraction <= 1.0 and 0.0 <= excited_fraction <= 1.0):
-        raise DomainError("populations must lie in [0, 1]")
-    if abs(ground_fraction + excited_fraction - 1.0) > _NORM_TOL:
-        raise DomainError("populations must sum to 1")
+    check_populations(ground_fraction, excited_fraction)
     mass_kg = mass_to_si(species.mass_u, consts)
     k = wavenumber(species.wavelength_nm * 1e-9)
     return (

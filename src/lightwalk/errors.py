@@ -9,10 +9,6 @@ class GridCoverageError(DomainError):
     """Momentum grid too narrow for the requested wavepacket (truncated tail)."""
 
 
-class DegenerateBlockError(DomainError):
-    """Both the coupling and the block shift vanish; dressed coefficients undefined."""
-
-
 class IntegratorError(ValueError):
     """Numeric integrator configured outside its validity bounds."""
 

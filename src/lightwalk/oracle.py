@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
-from .dynamics import BlockAmplitudes, LightField, block_detuning, effective_rabi
+from .dynamics import (
+    BlockAmplitudes,
+    LightField,
+    block_detuning,
+    effective_rabi,
+    kinetic_frequency,
+)
 from .errors import DomainError, IntegratorError
 
 # resolution bounds for the fastest time scales present in a block
@@ -40,12 +45,8 @@ class IntegratorConfig:
 
 def block_hamiltonian(p: float, field: LightField, mass_kg: float) -> np.ndarray:
     """2x2 frequency matrix of the block at momentum p (rad/s units)."""
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
-    w_ground = p * p / (2.0 * mass_kg * HBAR)
-    w_excited = (
-        field.detuning + (p + field.recoil_momentum) ** 2 / (2.0 * mass_kg * HBAR)
-    )
+    w_ground = kinetic_frequency(p, mass_kg)
+    w_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
     half_coupling = -0.5 * field.rabi
     return np.array(
         [[w_ground, half_coupling], [half_coupling, w_excited]], dtype=complex
@@ -57,16 +58,19 @@ def rk4_propagate(matrix, amplitudes, t, dt, max_steps: int = 5_000_000) -> np.n
 
     Shapes broadcast: ``matrix`` is (..., 2, 2), ``amplitudes`` (..., 2),
     and ``t``/``dt`` scalars or (...)-shaped, so a batch of independent
-    blocks integrates in lockstep. The final partial step is shortened so
-    each end time is hit exactly. For a constant matrix one RK4 step of
-    size h is exactly ``y <- R(h A) y`` with ``A = -i matrix`` and the
-    stability polynomial ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``, so the
-    n full steps are applied as ``R(dt A)^n`` by binary exponentiation
-    (per-element n), followed by one remainder step.
+    blocks integrates in lockstep. ``t`` must be finite and non-negative.
+    The final partial step is shortened so each end time is hit exactly.
+    For a constant matrix one RK4 step of size h is exactly
+    ``y <- R(h A) y`` with ``A = -i matrix`` and the stability polynomial
+    ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``, so the n full steps are
+    applied as ``R(dt A)^n`` by binary exponentiation (per-element n),
+    followed by one remainder step.
     """
     rhs = -1j * np.asarray(matrix, dtype=complex)
     t = np.asarray(t, dtype=float)
     dt = np.asarray(dt, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise IntegratorError("t must be finite and non-negative")
     if np.any(dt <= 0):
         raise IntegratorError("dt must be positive")
     full = np.floor(t / dt + 1e-9)

@@ -16,10 +16,8 @@ from typing import NamedTuple, Sequence
 
 from .catalog import Catalog, Species
 from .constants import PAPER_CONSTANTS, PhysicalConstants, mass_to_si
-from .dynamics import WavepacketSpec, average_speed
+from .dynamics import WavepacketSpec, average_speed, check_populations
 from .errors import DomainError
-
-_NORM_TOL = 1e-12
 
 # Atomic-number ranges of the speed-ladder groups, lightest to heaviest.
 LADDER_GROUPS: tuple[tuple[str, int, int], ...] = (
@@ -59,10 +57,7 @@ class MixtureMember:
     center_momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.ground_fraction <= 1.0 and 0.0 <= self.excited_fraction <= 1.0):
-            raise DomainError("populations must lie in [0, 1]")
-        if abs(self.ground_fraction + self.excited_fraction - 1.0) > _NORM_TOL:
-            raise DomainError("populations must sum to 1")
+        check_populations(self.ground_fraction, self.excited_fraction)
 
 
 class SpeedEntry(NamedTuple):
@@ -162,13 +157,13 @@ def _time_to_resolve(
     kappa: float,
     momentum_width: float,
     consts: PhysicalConstants,
-    horizon: float = 10.0,
 ) -> float | None:
     """Smallest t with gap(t) = kappa * (width_a + width_b)(t), by bisection.
 
     The defining equation has exactly one root when the speed gap beats the
     combined asymptotic spreading rate (gap is linear, the width sum convex),
-    and none otherwise.
+    and none otherwise. The bracket starts at [0, 10 s] and doubles until it
+    holds the root.
     """
     sigma_p = momentum_width / math.sqrt(2.0)
     spreading_rate = kappa * sigma_p * (1.0 / mass_a + 1.0 / mass_b)
@@ -181,9 +176,11 @@ def _time_to_resolve(
         )
         return speed_gap * t - kappa * widths
 
-    lo, hi = 0.0, horizon
-    if shortfall(hi) < 0.0:
-        return None
+    lo, hi = 0.0, 10.0
+    while shortfall(hi) < 0.0:
+        hi *= 2.0
+        if not math.isfinite(hi):
+            return None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if shortfall(mid) >= 0.0:

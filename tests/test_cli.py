@@ -74,6 +74,24 @@ def test_separate_magnesium_pair():
     assert float(rows[0][3]) == pytest.approx(48.8e-9, abs=0.5e-9)
 
 
+def test_separate_time_required_beyond_ten_seconds():
+    # a narrow momentum spread lets the pair resolve, but only after 10 s
+    code, out = run(["separate", "--pair", "Rb-85,Rb-87", "--t", "100", "--pi-hbark", "1e-4"])
+    assert code == EXIT_OK
+    _, rows = rows_of(out)
+    assert rows[0][6] == "true"
+    t_required = float(rows[0][7])
+    assert 10.0 < t_required <= 100.0
+    # at that time the gap is exactly kappa = 2 times the summed widths
+    code, out = run(
+        ["separate", "--pair", "Rb-85,Rb-87", "--t", rows[0][7], "--pi-hbark", "1e-4"]
+    )
+    assert code == EXIT_OK
+    _, rows = rows_of(out)
+    gap, width_a, width_b = map(float, rows[0][3:6])
+    assert gap == pytest.approx(2.0 * (width_a + width_b), rel=1e-6)
+
+
 def test_separate_whole_catalog_pair_count():
     code, out = run(["separate", "--t", "1e-5"])
     assert code == EXIT_OK

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lightwalk import (
     HBAR,
     BlockAmplitudes,
-    DegenerateBlockError,
     DomainError,
     GridCoverageError,
     IntegratorConfig,
@@ -17,20 +16,17 @@ from lightwalk import (
     WavepacketSpec,
     average_speed,
     band_structure,
-    block_coefficients,
     block_detuning,
     closed_form_displacement,
     closed_form_velocity,
-    dress_block,
     dressed_frequencies,
     effective_rabi,
     embedded_table1,
-    evolve_block_analytic,
     evolve_block_numeric,
-    evolve_state,
     expectation_momentum,
     init_gaussian,
     mass_to_si,
+    propagate,
     simulate,
     wavenumber,
 )
@@ -204,22 +200,23 @@ def test_band_structure_detuned_gap_at_rest():
     assert gaps.min() == pytest.approx(field.rabi, rel=1e-12)
 
 
-def test_block_coefficients_ground_start():
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
-    gp, gm, ep, em = block_coefficients(init, shift=0.0, eff_rabi=1e6, rabi=1e6)
-    assert gp == pytest.approx(0.5)
-    assert gm == pytest.approx(0.5)
-    assert ep == pytest.approx(0.5)
-    assert em == pytest.approx(-0.5)
+def test_propagate_resonant_ground_start():
+    # on resonance the +/- components of a ground start recombine to cos / i sin
+    rabi = 1e6
+    field = resonant_field(rabi)
+    t = 0.7 / rabi
+    ground, excited = propagate(1.0, 0.0, 0.0, field, RB87_MASS, t)
+    assert ground == pytest.approx(math.cos(rabi * t / 2))
+    assert excited == pytest.approx(1j * math.sin(rabi * t / 2))
 
 
-def test_block_coefficients_excited_start():
-    init = BlockAmplitudes(0.0, 0.0, 1.0)
-    gp, gm, ep, em = block_coefficients(init, shift=0.0, eff_rabi=1e6, rabi=1e6)
-    assert gp == pytest.approx(0.5)
-    assert gm == pytest.approx(-0.5)
-    assert ep == pytest.approx(0.5)
-    assert em == pytest.approx(0.5)
+def test_propagate_resonant_excited_start():
+    rabi = 1e6
+    field = resonant_field(rabi)
+    t = 0.7 / rabi
+    ground, excited = propagate(0.0, 1.0, 0.0, field, RB87_MASS, t)
+    assert ground == pytest.approx(1j * math.sin(rabi * t / 2))
+    assert excited == pytest.approx(math.cos(rabi * t / 2))
 
 
 @given(
@@ -228,30 +225,43 @@ def test_block_coefficients_excited_start():
     st.complex_numbers(max_magnitude=1.0),
     st.complex_numbers(max_magnitude=1.0),
 )
-def test_block_coefficients_initial_consistency(shift_ratio, rabi_mhz, g0, e0):
+def test_propagate_initial_consistency(shift_ratio, rabi_mhz, g0, e0):
     rabi = rabi_mhz * 1e6
     shift = shift_ratio * rabi
-    init = BlockAmplitudes(0.0, g0, e0)
-    gp, gm, ep, em = block_coefficients(init, shift, effective_rabi(shift, rabi), rabi)
-    recombined = abs(gp + gm) ** 2 + abs(ep + em) ** 2
-    assert recombined == pytest.approx(init.norm_sq, rel=1e-10, abs=1e-12)
+    field = LightField.from_wavelength(
+        RB87_WAVELENGTH, rabi=rabi, detuning=shift - RB87_RECOIL_RATE
+    )
+    ground, excited = propagate(g0, e0, 0.0, field, RB87_MASS, 0.0)
+    recombined = abs(ground) ** 2 + abs(excited) ** 2
+    assert recombined == pytest.approx(abs(g0) ** 2 + abs(e0) ** 2, rel=1e-10, abs=1e-12)
 
 
-def test_block_coefficients_degenerate():
-    with pytest.raises(DegenerateBlockError):
-        block_coefficients(BlockAmplitudes(0.0, 1.0, 0.0), 0.0, 0.0, 0.0)
+def test_propagate_degenerate_block_is_pure_phase():
+    # zero coupling and zero shift: no dressed splitting to divide by
+    probe = LightField.from_wavelength(RB87_WAVELENGTH, rabi=0.0)
+    field = LightField.from_wavelength(
+        RB87_WAVELENGTH, rabi=0.0, detuning=-block_detuning(0.0, probe, RB87_MASS)
+    )
+    assert block_detuning(0.0, field, RB87_MASS) == 0.0
+    g0, e0 = 0.6, 0.8j
+    ground, excited = propagate(g0, e0, 0.0, field, RB87_MASS, 3e-6)
+    assert np.isfinite(ground) and np.isfinite(excited)
+    assert abs(ground) ** 2 + abs(excited) ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert ground / g0 == pytest.approx(excited / e0, abs=1e-15)
 
 
-def test_dress_block_consistency():
+def test_dressed_frequencies_set_propagate_phases():
     field = resonant_field(rabi=2e6)
-    init = BlockAmplitudes(1e-28, 0.8, 0.6j)
-    dressed = dress_block(init, field, RB87_MASS)
-    assert dressed.freq_high - dressed.freq_low == pytest.approx(
-        dressed.effective_rabi, rel=1e-12
-    )
-    assert dressed.effective_rabi == pytest.approx(
-        effective_rabi(dressed.shift, field.rabi), rel=1e-12
-    )
+    p, g0, e0 = 1e-28, 0.8, 0.6j
+    low, high = dressed_frequencies(p, field, RB87_MASS)
+    split = effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi)
+    assert high - low == pytest.approx(split, rel=1e-12)
+    # after one beat period the block returns up to the common trace phase
+    t = 2 * math.pi / split
+    ground, excited = propagate(g0, e0, p, field, RB87_MASS, t)
+    phase = -np.exp(-0.5j * (low + high) * t)
+    assert ground == pytest.approx(phase * g0, abs=1e-12)
+    assert excited == pytest.approx(phase * e0, abs=1e-12)
 
 
 # ------------------------------------------------------------ block evolution
@@ -259,29 +269,28 @@ def test_dress_block_consistency():
 
 def test_evolve_block_identity_at_zero_time():
     field = resonant_field(rabi=1.3e6)
-    init = BlockAmplitudes(2e-28, 0.6 + 0.1j, 0.7 - 0.2j)
-    out = evolve_block_analytic(init, field, RB87_MASS, 0.0)
-    assert out.ground == pytest.approx(init.ground, rel=1e-12)
-    assert out.excited == pytest.approx(init.excited, rel=1e-12)
-    assert out.momentum == init.momentum
+    g0, e0 = 0.6 + 0.1j, 0.7 - 0.2j
+    ground, excited = propagate(g0, e0, 2e-28, field, RB87_MASS, 0.0)
+    assert ground == pytest.approx(g0, rel=1e-12)
+    assert excited == pytest.approx(e0, rel=1e-12)
 
 
 def test_evolve_block_rejects_negative_time():
     with pytest.raises(DomainError):
-        evolve_block_analytic(BlockAmplitudes(0.0, 1.0, 0.0), resonant_field(), RB87_MASS, -1.0)
+        propagate(1.0, 0.0, 0.0, resonant_field(), RB87_MASS, -1.0)
+    with pytest.raises(DomainError):
+        propagate(1.0, 0.0, 0.0, resonant_field(), RB87_MASS, np.array([0.0, 1e-6, -1e-9]))
 
 
 def test_resonant_rabi_flopping():
     rabi = 1e6
     field = resonant_field(rabi)
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
-    for t in np.linspace(0.0, 4 * math.pi / rabi, 23):
-        out = evolve_block_analytic(init, field, RB87_MASS, float(t))
-        assert abs(out.excited) ** 2 == pytest.approx(
-            math.sin(rabi * t / 2) ** 2, abs=1e-12
-        )
-    pulse = evolve_block_analytic(init, field, RB87_MASS, math.pi / rabi)
-    assert abs(pulse.excited) ** 2 == pytest.approx(1.0, abs=1e-12)
+    times = np.linspace(0.0, 4 * math.pi / rabi, 23)
+    _, excited = propagate(1.0, 0.0, 0.0, field, RB87_MASS, times)
+    assert excited.shape == times.shape
+    assert np.abs(np.abs(excited) ** 2 - np.sin(rabi * times / 2) ** 2).max() <= 1e-12
+    _, pulse = propagate(1.0, 0.0, 0.0, field, RB87_MASS, math.pi / rabi)
+    assert abs(pulse) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(deadline=None)
@@ -296,9 +305,9 @@ def test_per_block_unitarity(shift_ratio, rabi_mhz, phase, g0, e0):
     rabi = rabi_mhz * 1e6
     field = resonant_field(rabi)
     p = shift_ratio * RB87_MASS * rabi / wavenumber(RB87_WAVELENGTH)  # sets shift
-    init = BlockAmplitudes(p, g0, e0)
-    out = evolve_block_analytic(init, field, RB87_MASS, phase / rabi)
-    assert out.norm_sq == pytest.approx(init.norm_sq, rel=1e-12, abs=1e-15)
+    ground, excited = propagate(g0, e0, p, field, RB87_MASS, phase / rabi)
+    norm_sq = abs(g0) ** 2 + abs(e0) ** 2
+    assert abs(ground) ** 2 + abs(excited) ** 2 == pytest.approx(norm_sq, rel=1e-12, abs=1e-15)
 
 
 def test_analytic_matches_oracle_half_detuned():
@@ -306,12 +315,13 @@ def test_analytic_matches_oracle_half_detuned():
     field = resonant_field(rabi)
     # momentum chosen so the block shift is rabi/2
     p = 0.5 * rabi * RB87_MASS / wavenumber(RB87_WAVELENGTH)
-    init = BlockAmplitudes(p, 1.0, 0.0)
     t = 3 * 2 * math.pi / rabi
-    numeric = evolve_block_numeric(init, field, RB87_MASS, t, IntegratorConfig(0.002 / rabi))
-    exact = evolve_block_analytic(init, field, RB87_MASS, t)
-    assert abs(numeric.ground - exact.ground) < 1e-8
-    assert abs(numeric.excited - exact.excited) < 1e-8
+    numeric = evolve_block_numeric(
+        BlockAmplitudes(p, 1.0, 0.0), field, RB87_MASS, t, IntegratorConfig(0.002 / rabi)
+    )
+    ground, excited = propagate(1.0, 0.0, p, field, RB87_MASS, t)
+    assert abs(numeric.ground - ground) < 1e-8
+    assert abs(numeric.excited - excited) < 1e-8
 
 
 def test_evolution_composes():
@@ -319,13 +329,15 @@ def test_evolution_composes():
     spec = WavepacketSpec(0.0, 0.05 * HBAR * wavenumber(RB87_WAVELENGTH))
     grid = MomentumGrid.for_packet(spec, n_points=256)
     state = init_gaussian(spec, grid, field, RB87_MASS)
+    p = grid.points()
     t1, t2 = 1.3e-6, 3.1e-6
-    via = evolve_state(evolve_state(state, t1), t2)
-    direct = evolve_state(state, t2)
-    assert np.allclose(via.ground, direct.ground, rtol=1e-12, atol=1e-15)
-    assert np.allclose(via.excited, direct.excited, rtol=1e-12, atol=1e-15)
+    mid = propagate(state.ground, state.excited, p, field, RB87_MASS, t1)
+    via = propagate(*mid, p, field, RB87_MASS, t2 - t1)
+    direct = propagate(state.ground, state.excited, p, field, RB87_MASS, t2)
+    assert np.allclose(via[0], direct[0], rtol=1e-12, atol=1e-15)
+    assert np.allclose(via[1], direct[1], rtol=1e-12, atol=1e-15)
     with pytest.raises(DomainError):
-        evolve_state(direct, t1)
+        propagate(*direct, p, field, RB87_MASS, t1 - t2)
 
 
 # ------------------------------------------------------------------- packets

@@ -13,9 +13,9 @@ from lightwalk import (
     block_hamiltonian,
     effective_rabi,
     embedded_table1,
-    evolve_block_analytic,
     evolve_block_numeric,
     mass_to_si,
+    propagate,
     rk4_propagate,
     suggested_dt,
     wavenumber,
@@ -85,9 +85,9 @@ def test_matches_analytic_at_double_detuning():
     init = BlockAmplitudes(0.0, complex(raw[0]), complex(raw[1]))
     t = 10 * 2 * math.pi / rabi
     numeric = evolve_block_numeric(init, field, MASS, t, IntegratorConfig(0.002 / rabi))
-    exact = evolve_block_analytic(init, field, MASS, t)
-    assert abs(numeric.ground - exact.ground) < 1e-8
-    assert abs(numeric.excited - exact.excited) < 1e-8
+    ground, excited = propagate(init.ground, init.excited, 0.0, field, MASS, t)
+    assert abs(numeric.ground - ground) < 1e-8
+    assert abs(numeric.excited - excited) < 1e-8
 
 
 def test_norm_drift_small():
@@ -106,13 +106,11 @@ def test_fourth_order_convergence():
     split = float(effective_rabi(2 * rabi, rabi))
     init = BlockAmplitudes(0.0, 1.0, 0.0)
     t = 10 * 2 * math.pi / rabi
-    exact = evolve_block_analytic(init, field, MASS, t)
+    ground, excited = propagate(1.0, 0.0, 0.0, field, MASS, t)
     errors = []
     for dt in (0.02 / split, 0.01 / split):
         numeric = evolve_block_numeric(init, field, MASS, t, IntegratorConfig(dt))
-        errors.append(
-            max(abs(numeric.ground - exact.ground), abs(numeric.excited - exact.excited))
-        )
+        errors.append(max(abs(numeric.ground - ground), abs(numeric.excited - excited)))
     factor = errors[0] / errors[1]
     assert 12.0 <= factor <= 20.0
 
@@ -134,11 +132,8 @@ def test_randomized_agreement_batch():
 
     worst = 0.0
     for i in range(n):
-        block = BlockAmplitudes(0.0, complex(inits[i, 0]), complex(inits[i, 1]))
-        exact = evolve_block_analytic(block, fields[i], MASS, 10 * periods[i])
-        worst = max(
-            worst, abs(out[i, 0] - exact.ground), abs(out[i, 1] - exact.excited)
-        )
+        exact = propagate(inits[i, 0], inits[i, 1], 0.0, fields[i], MASS, 10 * periods[i])
+        worst = max(worst, abs(out[i, 0] - exact[0]), abs(out[i, 1] - exact[1]))
     assert worst < 1e-7
 
 
@@ -190,6 +185,16 @@ def test_propagate_step_cap_raises_before_work():
         rk4_propagate(matrix, y0, 1e-6, 1e-9, max_steps=10)
     with pytest.raises(IntegratorError):
         rk4_propagate(matrix, y0, 1e6, 1e-9)  # 1e15 steps, far over the default cap
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1e-9])
+def test_rk4_propagate_rejects_non_finite_or_negative_time(t):
+    matrix = block_hamiltonian(0.0, field_with_shift(0.0), MASS)
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(IntegratorError):
+        rk4_propagate(matrix, y0, t, 1e-9)
+    with pytest.raises(IntegratorError):
+        rk4_propagate(np.stack([matrix, matrix]), np.stack([y0, y0]), np.array([1e-6, t]), 1e-9)
 
 
 def test_suggested_dt_resolves_fastest_scale():
