@@ -162,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     if args.steps is not None:
         steps = args.steps
     elif args.omega > 0:
-        steps = min(_MAX_AUTO_STEPS, max(2, math.ceil(200.0 * args.t_max / field.period)))
+        steps = max(2, math.ceil(min(_MAX_AUTO_STEPS, 200.0 * args.t_max / field.period)))
     else:
         steps = 200
     if steps < 2:

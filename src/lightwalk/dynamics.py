@@ -27,6 +27,12 @@ from .constants import HBAR, PAPER_CONSTANTS, PhysicalConstants, mass_to_si, wav
 from .errors import DomainError, GridCoverageError
 
 _NORM_TOL = 1e-12
+# simulate refuses runs whose largest phase S t_max carries a rounding error
+# above this (rad): the 9 printed digits of a population would then move
+_PHASE_TOL = 1e-9
+# simulate evaluates time rows in chunks whose (rows x grid points) tables
+# hold about this many doubles, so they stay in cache at any run length
+_CHUNK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -358,11 +364,25 @@ def simulate(
     mass_kg: float,
     times: Sequence[float],
 ) -> Trajectory:
-    """Propagate the packet to each requested time and record observables.
+    """Observables of the packet at each requested time, in closed form.
 
-    Every block is evolved exactly from t=0; the mean position is the
-    trapezoid quadrature of mean velocity over ``times``, so sampling
-    should resolve the Rabi oscillation (about 200 points per period).
+    Each block conserves its own norm, and with its effective Rabi
+    frequency S, x = shift/S and y = rabi/S (x = 1, y = 0 where S = 0) its
+    excited population is
+
+        cos^2(St/2) |e0|^2 + sin^2(St/2) |D|^2 + sin(St) C,
+        D = y g0 - x e0,  C = -y Im(g0 conj(e0)).
+
+    So the norm is constant, the mean momentum is its t = 0 value plus
+    hbar k times the excited population, and the mean position is the
+    exact time integral of the mean velocity. Every row is exact on the
+    grid: ``times`` only sets which rows are returned, not their accuracy.
+
+    Raises :class:`DomainError` before any work when the run is out of the
+    grid's or the float phase's reach: past t_alias = 2 pi / (max|dS/dp| dp)
+    neighbouring blocks dephase by a full turn and the grid sum aliases into
+    false revivals, and the rounding error of the largest phase,
+    max(S) t_max 2^-52, must stay below ``_PHASE_TOL`` rad.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
@@ -372,30 +392,71 @@ def simulate(
     if not np.all(np.diff(times) > 0):
         raise DomainError("sample times must be strictly increasing")
 
-    initial = init_gaussian(spec, grid, field, mass_kg)
     p = grid.points()
-    n_t = len(times)
-    mean_p = np.empty(n_t)
-    norm = np.empty(n_t)
-    pop_excited = np.empty(n_t)
     dp = grid.spacing
+    t_max = float(times[-1])
+    shift = block_detuning(p, field, mass_kg)
+    split = effective_rabi(shift, field.rabi)
+    phase = float(split.max()) * t_max
+    if not phase * 2.0**-52 <= _PHASE_TOL:
+        raise DomainError(
+            f"the phase max(S) t_max = {phase:.3g} rad carries a rounding error of "
+            f"{phase * 2.0**-52:.2g} rad, above {_PHASE_TOL:g} rad"
+        )
+    moving = split > 0.0
+    inv_split = np.where(moving, 1.0 / np.where(moving, split, 1.0), 0.0)
+    x = np.where(moving, shift * inv_split, 1.0)
+    y = field.rabi * inv_split
+    # |dS/dp| = |x| k / M; past t_alias neighbouring blocks dephase by 2 pi
+    rate = float(np.abs(x).max()) * abs(field.wavenumber) / mass_kg
+    if rate * dp * t_max > 2.0 * math.pi:
+        needed = math.ceil(rate * (grid.p_max - grid.p_min) * t_max / (2.0 * math.pi)) + 1
+        raise DomainError(
+            f"t_max {t_max:g} s is past the aliasing horizon "
+            f"{2.0 * math.pi / (rate * dp):.3g} s of a {grid.n_points}-point momentum "
+            f"grid; at least {needed} grid points (--grid-points {needed}) resolve it"
+        )
+
+    initial = init_gaussian(spec, grid, field, mass_kg)
+    ground0, excited0 = initial.ground, initial.excited
+    n0 = np.abs(ground0) ** 2 + np.abs(excited0) ** 2
+    norm = float(n0.sum() * dp)
+    mean_p0 = float((n0 * p).sum() * dp)
+    w_excited = np.abs(excited0) ** 2 * dp
+    w_dressed = np.abs(y * ground0 - x * excited0) ** 2 * dp
+    w_cross = -2.0 * y * (ground0 * np.conj(excited0)).imag * dp  # 2 C dp
+    # columns: (pop, integral of pop) weights of sin^2(St/2) and of
+    # cos(St/2) sin(St/2) = sin(St)/2; the S -> 0 limit is carried by t/2 below
+    on_sin_sq = np.stack([w_dressed, w_cross * inv_split], axis=1)
+    on_cross = np.stack([w_cross, (w_excited - w_dressed) * inv_split], axis=1)
+    drift = 0.5 * float((w_excited + w_dressed).sum())
+
+    n_t = len(times)
+    pop_excited = np.empty(n_t)
+    pop_integral = np.empty(n_t)
+    rows = max(1, _CHUNK_DOUBLES // len(p))
+    for lo in range(0, n_t, rows):
+        t = times[lo:lo + rows]
+        half = np.multiply.outer(t, 0.5 * split)
+        cos_h, sin_h = np.cos(half), np.sin(half)
+        cross = cos_h * sin_h
+        np.square(cos_h, out=cos_h)
+        np.square(sin_h, out=sin_h)
+        from_sin_sq = sin_h @ on_sin_sq
+        from_cross = cross @ on_cross
+        pop_excited[lo:lo + rows] = cos_h @ w_excited + from_sin_sq[:, 0] + from_cross[:, 0]
+        pop_integral[lo:lo + rows] = drift * t + from_sin_sq[:, 1] + from_cross[:, 1]
+
     recoil = field.recoil_momentum
-    for i, t in enumerate(times):
-        ground, excited = propagate(initial.ground, initial.excited, p, field, mass_kg, t)
-        n_ground = np.abs(ground) ** 2
-        n_excited = np.abs(excited) ** 2
-        mean_p[i] = ((n_ground * p).sum() + (n_excited * (p + recoil)).sum()) * dp
-        norm[i] = (n_ground + n_excited).sum() * dp
-        pop_excited[i] = n_excited.sum() * dp
+    mean_p = mean_p0 + recoil * pop_excited
     mean_v = mean_p / mass_kg
-    segments = 0.5 * (mean_v[1:] + mean_v[:-1]) * np.diff(times)
-    mean_x = spec.initial_position + np.concatenate([[0.0], np.cumsum(segments)])
+    mean_x = spec.initial_position + (mean_p0 * times + recoil * pop_integral) / mass_kg
     return Trajectory(
         times=times,
         mean_momentum=mean_p,
         mean_velocity=mean_v,
         mean_position=mean_x,
-        norm=norm,
+        norm=np.full(n_t, norm),
         excited_population=pop_excited,
     )
 

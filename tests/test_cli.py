@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lightwalk import embedded_table1
@@ -156,12 +158,39 @@ def test_domain_errors_exit_4():
         ["simulate", "--species", "Mg-24", "--t-max", "inf"],
         ["simulate", "--species", "Mg-24", "--t-max", "nan", "--steps", "20"],
         ["simulate", "--species", "Mg-24", "--x0", "nan", "--t-max", "1e-6", "--steps", "20"],
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--pi-hbark", "1e200"],
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--grid-span", "1e300"],
+        ["simulate", "--species", "Mg-24", "--omega", "1e8", "--t-max", "1e300"],
         ["separate", "--pair", "Mg-24,Mg-25", "--t", "nan"],
         ["separate", "--pair", "Mg-24,Mg-25", "--t", "inf"],
     ],
 )
 def test_non_finite_input_exits_4(argv):
     assert run(argv) == (EXIT_DOMAIN, "")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["simulate", "--species", "Mg-24", "--t-max", "1"], "aliasing horizon"),
+        (["simulate", "--species", "Mg-24", "--t-max", "1e300"], "rounding error"),
+        (["simulate", "--species", "Mg-24", "--omega", "1e300", "--t-max", "1e-6"],
+         "rounding error"),
+    ],
+)
+def test_simulate_refuses_runs_the_grid_or_float_phase_cannot_resolve(argv, reason, capsys):
+    assert run(argv) == (EXIT_DOMAIN, "")
+    assert reason in capsys.readouterr().err
+
+
+def test_aliasing_refusal_names_the_grid_points_that_suffice(capsys):
+    argv = ["simulate", "--species", "Mg-24", "--t-max", "1e-3", "--steps", "20"]
+    assert run([*argv, "--grid-points", "64"]) == (EXIT_DOMAIN, "")
+    needed = int(re.search(r"--grid-points (\d+)", capsys.readouterr().err).group(1))
+    assert run([*argv, "--grid-points", str(needed - 1)]) == (EXIT_DOMAIN, "")
+    code, out = run([*argv, "--grid-points", str(needed)])
+    assert code == EXIT_OK
+    assert len(rows_of(out)[1]) == 21
 
 
 def test_separate_repeated_name_is_usage_error():

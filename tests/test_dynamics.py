@@ -17,6 +17,7 @@ from lightwalk import (
     average_speed,
     band_structure,
     block_detuning,
+    block_hamiltonian,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
@@ -27,6 +28,7 @@ from lightwalk import (
     init_gaussian,
     mass_to_si,
     propagate,
+    rk4_propagate,
     simulate,
     wavenumber,
 )
@@ -489,6 +491,153 @@ def test_simulate_direction_parity():
     walk = plus.mean_position - spec.initial_position
     mirror = minus.mean_position - spec.initial_position
     assert np.abs(walk + mirror).max() <= 1e-9 * np.abs(walk).max()
+
+
+def per_time_reference(spec, grid, field, times):
+    """Observables from the amplitudes `propagate` evolves to every time.
+
+    The independent reference for simulate's closed form: the norm comes
+    from the evolved amplitudes, and each block is evolved to each time.
+    """
+    state = init_gaussian(spec, grid, field, RB87_MASS)
+    p, dp = grid.points(), grid.spacing
+    ground, excited = propagate(
+        state.ground, state.excited, p, field, RB87_MASS, np.asarray(times)[:, None]
+    )
+    n_ground, n_excited = np.abs(ground) ** 2, np.abs(excited) ** 2
+    return {
+        "norm": (n_ground + n_excited).sum(axis=1) * dp,
+        "pop": n_excited.sum(axis=1) * dp,
+        "mean_p": (n_ground @ p + n_excited @ (p + field.recoil_momentum)) * dp,
+    }
+
+
+def refined(times, factor=16):
+    """``times`` with every interval split into ``factor`` equal parts."""
+    steps = np.linspace(0.0, 1.0, factor + 1)[:-1]
+    inner = times[:-1, None] + np.diff(times)[:, None] * steps
+    return np.append(inner.ravel(), times[-1])
+
+
+def zero_shift_field(rabi):
+    """Field whose p = 0 block has a shift of exactly zero."""
+    probe = LightField.from_wavelength(RB87_WAVELENGTH, rabi=rabi)
+    return LightField.from_wavelength(
+        RB87_WAVELENGTH, rabi=rabi, detuning=-block_detuning(0.0, probe, RB87_MASS)
+    )
+
+
+PERIOD_1MHZ = 2 * math.pi / 1e6
+CLOSED_FORM_CASES = {
+    # moving, mixed packet, detuned field, denser samples at early times
+    "non-uniform-times": (
+        packet(center_hbark=0.3, ground=math.sqrt(0.8), excited=math.sqrt(0.2), x0=1e-6),
+        resonant_field(1e6),
+        3 * PERIOD_1MHZ * np.linspace(0.0, 1.0, 301) ** 2,
+    ),
+    # a relative phase between the internal states: C = -y Im(g0 e0*) != 0
+    "complex-amplitudes": (
+        packet(center_hbark=-0.2, ground=0.6, excited=0.8 * np.exp(0.9j)),
+        LightField.from_wavelength(RB87_WAVELENGTH, rabi=1e6, detuning=0.7e6),
+        np.linspace(0.0, 3 * PERIOD_1MHZ, 301),
+    ),
+    # no coupling, and the p = 0 grid point is a block with S = 0 exactly
+    "rabi-zero": (
+        packet(ground=0.6, excited=0.8j),
+        zero_shift_field(0.0),
+        np.linspace(0.0, 3 * PERIOD_1MHZ, 301),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_simulate_matches_per_time_propagate(case):
+    spec, field, times = CLOSED_FORM_CASES[case]
+    grid = MomentumGrid.for_packet(spec, n_points=257)
+    p = grid.points()
+    assert (effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi) == 0.0).any() == (
+        case == "rabi-zero"
+    )
+    trajectory = simulate(spec, grid, field, RB87_MASS, times)
+    reference = per_time_reference(spec, grid, field, times)
+    recoil = abs(field.recoil_momentum)
+    assert np.abs(trajectory.norm - reference["norm"]).max() <= 1e-12
+    assert np.abs(trajectory.excited_population - reference["pop"]).max() <= 1e-12
+    assert np.abs(trajectory.mean_momentum - reference["mean_p"]).max() <= 1e-12 * recoil
+
+    # mean_x is the exact integral; the reference's trapezoid on a 16x finer grid
+    fine = refined(times)
+    velocity = per_time_reference(spec, grid, field, fine)["mean_p"] / RB87_MASS
+    steps = np.concatenate([[0.0], np.cumsum(0.5 * (velocity[1:] + velocity[:-1]) * np.diff(fine))])
+    position = spec.initial_position + steps[::16]
+    scale = recoil / RB87_MASS * times[-1]
+    assert np.abs(trajectory.mean_position - position).max() <= 1e-6 * scale
+
+
+def test_simulate_matches_rk4_on_a_small_grid():
+    spec = packet(center_hbark=0.4, ground=0.6, excited=0.8j)
+    field = LightField.from_wavelength(RB87_WAVELENGTH, rabi=1e6, detuning=-0.5e6)
+    grid = MomentumGrid.for_packet(spec, n_points=64)
+    times = np.array([0.0, 0.3e-6, 1.1e-6, 2.5e-6, 4.0e-6, 9.7e-6])
+    trajectory = simulate(spec, grid, field, RB87_MASS, times)
+
+    state = init_gaussian(spec, grid, field, RB87_MASS)
+    p, dp = grid.points(), grid.spacing
+    matrices = np.stack([block_hamiltonian(pk, field, RB87_MASS) for pk in p])
+    split = effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi)
+    y0 = np.stack([state.ground, state.excited], axis=-1)
+    recoil = abs(field.recoil_momentum)
+    for i, t in enumerate(times):
+        y = rk4_propagate(matrices, y0, t, 0.002 / split.max())
+        n_ground, n_excited = np.abs(y[:, 0]) ** 2, np.abs(y[:, 1]) ** 2
+        assert trajectory.norm[i] == pytest.approx((n_ground + n_excited).sum() * dp, abs=1e-8)
+        assert trajectory.excited_population[i] == pytest.approx(n_excited.sum() * dp, abs=1e-8)
+        mean_p = (n_ground @ p + n_excited @ (p + field.recoil_momentum)) * dp
+        assert abs(trajectory.mean_momentum[i] - mean_p) <= 1e-8 * recoil
+
+
+def test_simulate_ground_start_population_is_exactly_zero_at_t0():
+    # the A + B cos(St) form of the same population gives -1.1e-16 here
+    spec = packet()
+    field = LightField.from_wavelength(RB87_WAVELENGTH, rabi=1e6, detuning=0.4e6)
+    grid = MomentumGrid.for_packet(spec, n_points=1024)
+    trajectory = simulate(spec, grid, field, RB87_MASS, np.linspace(0.0, 2 * field.period, 101))
+    assert trajectory.excited_population[0] == 0.0
+    assert np.all(trajectory.excited_population >= 0.0)
+    assert trajectory.mean_position[0] == spec.initial_position
+
+
+def mg24_setup(n_points):
+    species = embedded_table1().get("Mg-24")
+    mass = mass_to_si(species.mass_u)
+    field = LightField.from_wavelength(species.wavelength_nm * 1e-9, rabi=1e6)
+    spec = WavepacketSpec(0.0, 0.05 * abs(field.recoil_momentum))
+    grid = MomentumGrid.for_packet(spec, n_points=n_points)
+    shift = block_detuning(grid.points(), field, mass)
+    rate = np.abs(shift / effective_rabi(shift, field.rabi)).max() * abs(field.wavenumber) / mass
+    return spec, grid, field, mass, 2 * math.pi / (rate * grid.spacing)
+
+
+def test_simulate_just_inside_the_aliasing_horizon_matches_a_doubled_grid():
+    spec, grid, field, mass, t_alias = mg24_setup(512)
+    fine = MomentumGrid(grid.p_min, grid.p_max, 2 * grid.n_points - 1)
+    times = np.linspace(0.0, 0.99 * t_alias, 201)
+    coarse_run = simulate(spec, grid, field, mass, times)
+    fine_run = simulate(spec, fine, field, mass, times)
+    recoil = abs(field.recoil_momentum)
+    scale = recoil / mass * times[-1]
+    assert np.abs(coarse_run.excited_population - fine_run.excited_population).max() <= 1e-12
+    assert np.abs(coarse_run.mean_momentum - fine_run.mean_momentum).max() <= 1e-12 * recoil
+    assert np.abs(coarse_run.mean_position - fine_run.mean_position).max() <= 1e-12 * scale
+
+
+def test_simulate_refuses_runs_past_the_aliasing_horizon_or_float_phase():
+    spec, grid, field, mass, t_alias = mg24_setup(512)
+    with pytest.raises(DomainError, match="aliasing horizon"):
+        simulate(spec, grid, field, mass, np.linspace(0.0, 1.01 * t_alias, 11))
+    strong = LightField.from_wavelength(field.wavelength, rabi=1e300)
+    with pytest.raises(DomainError, match="rounding error"):
+        simulate(spec, grid, strong, mass, [0.0, 1e-6])
 
 
 def test_strong_coupling_convergence():
