@@ -3,7 +3,7 @@
 Subcommands: ``speeds``, ``simulate``, ``bands``, ``separate``, ``validate``.
 Numbers are serialized with 9 significant digits; identical flags yield
 byte-identical output. Exit codes: 0 ok, 1 validation failure, 2 usage,
-3 file problems, 4 physical-domain errors.
+3 file problems, 4 physical-domain errors (a non-finite result among them).
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ class UsageError(Exception):
 
 
 def _fmt(value: float) -> str:
+    """9 significant digits; a non-finite result is a domain error, never printed."""
+    if not math.isfinite(value):
+        raise DomainError(f"a result is not finite ({value}): an input is out of float range")
     return f"{value:.9g}"
 
 

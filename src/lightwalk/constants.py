@@ -18,7 +18,6 @@ from .errors import DomainError
 
 H_PLANCK = 6.62607015e-34  # J s, exact in SI
 HBAR = H_PLANCK / (2.0 * math.pi)
-C_LIGHT = 299792458.0  # m/s, exact in SI
 
 U_ROUNDED = 1.67e-27  # kg, atomic mass unit rounded to 3 digits
 U_CODATA = 1.66053906660e-27  # kg, CODATA 2018
@@ -31,23 +30,18 @@ class PhysicalConstants:
     h: float
     hbar: float
     u: float
-    c: float
     set_tag: str
 
     def __post_init__(self) -> None:
         expected_hbar = self.h / (2.0 * math.pi)
         if not math.isclose(self.hbar, expected_hbar, rel_tol=1e-15):
             raise DomainError("hbar must equal h / (2 pi)")
-        if self.h <= 0 or self.u <= 0 or self.c <= 0:
+        if self.h <= 0 or self.u <= 0:
             raise DomainError("constants must be positive")
 
 
-PAPER_CONSTANTS = PhysicalConstants(
-    h=H_PLANCK, hbar=HBAR, u=U_ROUNDED, c=C_LIGHT, set_tag="paper"
-)
-CODATA_CONSTANTS = PhysicalConstants(
-    h=H_PLANCK, hbar=HBAR, u=U_CODATA, c=C_LIGHT, set_tag="codata"
-)
+PAPER_CONSTANTS = PhysicalConstants(h=H_PLANCK, hbar=HBAR, u=U_ROUNDED, set_tag="paper")
+CODATA_CONSTANTS = PhysicalConstants(h=H_PLANCK, hbar=HBAR, u=U_CODATA, set_tag="codata")
 
 CONSTANT_SETS = {"paper": PAPER_CONSTANTS, "codata": CODATA_CONSTANTS}
 

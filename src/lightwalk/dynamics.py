@@ -42,16 +42,12 @@ class LightField:
     ``wavenumber`` is signed: its sign is the propagation direction along x.
     ``rabi`` is the coupling strength in rad/s (real and non-negative),
     ``detuning`` the light frequency offset from the bare transition in rad/s.
-    The coupling may alternatively be derived from a dipole moment and a
-    field amplitude via :meth:`from_dipole`.
     """
 
     wavelength: float
     wavenumber: float
     rabi: float
     detuning: float
-    dipole_moment: float | None = None
-    field_amplitude: float | None = None
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -63,10 +59,6 @@ class LightField:
         expected = 2.0 * math.pi / self.wavelength
         if not math.isclose(abs(self.wavenumber), expected, rel_tol=1e-12):
             raise DomainError("|wavenumber| must equal 2 pi / wavelength")
-        if self.dipole_moment is not None and self.field_amplitude is not None:
-            derived = abs(self.dipole_moment) * self.field_amplitude / HBAR
-            if not math.isclose(self.rabi, derived, rel_tol=1e-9):
-                raise DomainError("rabi inconsistent with dipole moment and field amplitude")
 
     @classmethod
     def from_wavelength(
@@ -83,29 +75,6 @@ class LightField:
             wavenumber=direction * wavenumber(wavelength),
             rabi=rabi,
             detuning=detuning,
-        )
-
-    @classmethod
-    def from_dipole(
-        cls,
-        wavelength: float,
-        dipole_moment: float,
-        field_amplitude: float,
-        detuning: float = 0.0,
-        direction: int = 1,
-    ) -> "LightField":
-        if field_amplitude < 0:
-            raise DomainError("field amplitude must be non-negative")
-        rabi = abs(dipole_moment) * field_amplitude / HBAR
-        if direction not in (1, -1):
-            raise DomainError("direction must be +1 or -1")
-        return cls(
-            wavelength=wavelength,
-            wavenumber=direction * wavenumber(wavelength),
-            rabi=rabi,
-            detuning=detuning,
-            dipole_moment=dipole_moment,
-            field_amplitude=field_amplitude,
         )
 
     @property
@@ -177,46 +146,6 @@ class MomentumGrid:
         """Grid centered on the packet, default +-6 widths at 4096 points."""
         span = half_span * spec.momentum_width
         return cls(spec.center_momentum - span, spec.center_momentum + span, n_points)
-
-
-@dataclass(frozen=True)
-class BlockAmplitudes:
-    """Amplitude pair of one momentum block.
-
-    ``ground`` multiplies |0,p>, ``excited`` multiplies |1,p+hbar*k>; the
-    excited component therefore carries one photon recoil of momentum.
-    """
-
-    momentum: float
-    ground: complex
-    excited: complex
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.ground) ** 2 + abs(self.excited) ** 2
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Wavepacket on a momentum grid at one instant.
-
-    ``ground[i]`` is the amplitude at momentum ``p_i``; ``excited[i]`` the
-    amplitude at ``p_i + hbar*k``. Arrays are never mutated.
-    """
-
-    grid: MomentumGrid
-    ground: np.ndarray
-    excited: np.ndarray
-    mass_kg: float
-    field: LightField
-
-    def norm(self) -> float:
-        dp = self.grid.spacing
-        # np.sum is pairwise, so the reduction is order-stable
-        return float((np.abs(self.ground) ** 2 + np.abs(self.excited) ** 2).sum() * dp)
-
-    def excited_population(self) -> float:
-        return float((np.abs(self.excited) ** 2).sum() * self.grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -316,16 +245,15 @@ def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):
     return ground, excited
 
 
-def init_gaussian(
-    spec: WavepacketSpec, grid: MomentumGrid, field: LightField, mass_kg: float
-) -> QuantumState:
-    """Discretize the Gaussian packet on the grid and renormalize.
+def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
+    """t = 0 amplitudes (ground, excited) of the Gaussian packet on the grid.
 
-    Raises :class:`GridCoverageError` when the grid truncates more than
-    1e-6 of the packet's norm (grids should span the center +-5 widths).
+    The envelope is normalized to unit norm on the grid. Raises
+    :class:`GridCoverageError` when the grid truncates more than 1e-6 of
+    the packet's norm (grids should span the center +-5 widths), and
+    :class:`DomainError` when the width is so extreme that the envelope
+    over- or underflows and its norm is not finite and positive.
     """
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
     pc, width = spec.center_momentum, spec.momentum_width
     tail = 0.5 * (
         math.erfc((grid.p_max - pc) / width) + math.erfc((pc - grid.p_min) / width)
@@ -336,25 +264,18 @@ def init_gaussian(
             f"packet norm (center {pc:g}, width {width:g})"
         )
     p = grid.points()
-    envelope = np.exp(-((p - pc) ** 2) / (2.0 * width**2)).astype(complex)
-    norm = math.sqrt(float((np.abs(envelope) ** 2).sum()) * grid.spacing)
+    # float_power is the C pow of width**2 but overflows to inf instead of raising;
+    # an envelope that over- or underflows is refused below
+    with np.errstate(all="ignore"):
+        envelope = np.exp(-((p - pc) ** 2) / (2.0 * np.float_power(width, 2))).astype(complex)
+        norm = math.sqrt(float((np.abs(envelope) ** 2).sum()) * grid.spacing)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise DomainError(
+            f"momentum width {width:g} is out of float range: the packet envelope "
+            f"on the grid has norm {norm:g}"
+        )
     envelope /= norm
-    return QuantumState(
-        grid=grid,
-        ground=spec.ground_amp * envelope,
-        excited=spec.excited_amp * envelope,
-        mass_kg=mass_kg,
-        field=field,
-    )
-
-
-def expectation_momentum(state: QuantumState) -> float:
-    """Mean momentum; the excited component carries one photon recoil."""
-    p = state.grid.points()
-    dp = state.grid.spacing
-    n_ground = np.abs(state.ground) ** 2
-    n_excited = np.abs(state.excited) ** 2
-    return float(((n_ground * p).sum() + (n_excited * (p + state.field.recoil_momentum)).sum()) * dp)
+    return spec.ground_amp * envelope, spec.excited_amp * envelope
 
 
 def simulate(
@@ -417,8 +338,7 @@ def simulate(
             f"grid; at least {needed} grid points (--grid-points {needed}) resolve it"
         )
 
-    initial = init_gaussian(spec, grid, field, mass_kg)
-    ground0, excited0 = initial.ground, initial.excited
+    ground0, excited0 = init_gaussian(spec, grid)
     n0 = np.abs(ground0) ** 2 + np.abs(excited0) ** 2
     norm = float(n0.sum() * dp)
     mean_p0 = float((n0 * p).sum() * dp)

@@ -1,4 +1,4 @@
-"""Brute-force numeric evolution of single momentum blocks.
+"""Brute-force numeric evolution of momentum blocks.
 
 Fixed-step classical RK4 on the 2x2 block equation, written exactly as the
 coupled first-order system (bare kinetic phases on the diagonal, minus half
@@ -9,48 +9,23 @@ drift stays visible as a convergence diagnostic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import (
-    BlockAmplitudes,
-    LightField,
-    block_detuning,
-    effective_rabi,
-    kinetic_frequency,
-)
-from .errors import DomainError, IntegratorError
+from .dynamics import LightField, block_detuning, effective_rabi, kinetic_frequency
+from .errors import IntegratorError
 
 # resolution bounds for the fastest time scales present in a block
 MAX_RABI_STEP = 0.01  # rabi * dt
 MAX_SPLIT_STEP = 0.02  # effective_rabi * dt
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float
-    method_tag: str = "rk4"
-    max_steps: int = 5_000_000
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise IntegratorError(f"dt must be positive, got {self.dt}")
-        if self.method_tag != "rk4":
-            raise IntegratorError(f"unsupported method {self.method_tag!r}")
-        if self.max_steps < 1:
-            raise IntegratorError("max_steps must be at least 1")
-
-
-def block_hamiltonian(p: float, field: LightField, mass_kg: float) -> np.ndarray:
-    """2x2 frequency matrix of the block at momentum p (rad/s units)."""
-    w_ground = kinetic_frequency(p, mass_kg)
+def block_hamiltonian(p, field: LightField, mass_kg: float) -> np.ndarray:
+    """2x2 frequency matrices (rad/s) of the blocks at momenta p, shape (..., 2, 2)."""
+    w_ground = np.asarray(kinetic_frequency(p, mass_kg), dtype=float)
     w_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
-    half_coupling = -0.5 * field.rabi
-    return np.array(
-        [[w_ground, half_coupling], [half_coupling, w_excited]], dtype=complex
-    )
+    coupling = np.full_like(w_ground, -0.5 * field.rabi)
+    rows = [np.stack([w_ground, coupling], axis=-1), np.stack([coupling, w_excited], axis=-1)]
+    return np.stack(rows, axis=-2).astype(complex)
 
 
 def rk4_propagate(matrix, amplitudes, t, dt, max_steps: int = 5_000_000) -> np.ndarray:
@@ -93,38 +68,25 @@ def rk4_propagate(matrix, amplitudes, t, dt, max_steps: int = 5_000_000) -> np.n
     return (propagator @ np.asarray(amplitudes, dtype=complex)[..., None])[..., 0]
 
 
-def evolve_block_numeric(
-    init: BlockAmplitudes,
-    field: LightField,
-    mass_kg: float,
-    t: float,
-    cfg: IntegratorConfig,
-) -> BlockAmplitudes:
-    """RK4 evolution of one block to time t (the oracle path)."""
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
-    if field.rabi * cfg.dt > MAX_RABI_STEP * (1.0 + 1e-12):
-        raise IntegratorError(
-            f"rabi*dt = {field.rabi * cfg.dt:.3g} exceeds {MAX_RABI_STEP}"
-        )
-    split = float(
-        effective_rabi(block_detuning(init.momentum, field, mass_kg), field.rabi)
-    )
-    if split * cfg.dt > MAX_SPLIT_STEP * (1.0 + 1e-12):
-        raise IntegratorError(
-            f"effective_rabi*dt = {split * cfg.dt:.3g} exceeds {MAX_SPLIT_STEP}"
-        )
-    if t == 0.0:
-        return init
-    matrix = block_hamiltonian(init.momentum, field, mass_kg)
-    y0 = np.array([init.ground, init.excited], dtype=complex)
-    y = rk4_propagate(matrix, y0, t, cfg.dt, cfg.max_steps)
-    return BlockAmplitudes(init.momentum, complex(y[0]), complex(y[1]))
+def evolve_block_numeric(ground0, excited0, p, field: LightField, mass_kg: float, t, dt):
+    """RK4 amplitudes of momentum blocks after time t >= 0 (the oracle path).
 
-
-def suggested_dt(field: LightField, shift_bound: float = 0.0, resolution: float = 0.002) -> float:
-    """A dt resolving the fastest block scale with margin."""
-    fastest = math.hypot(shift_bound, field.rabi)
-    if fastest <= 0:
-        raise DomainError("cannot suggest a step for a block with no dynamics")
-    return resolution / fastest
+    Takes the arguments of :func:`lightwalk.dynamics.propagate` plus the
+    fixed step ``dt`` and broadcasts the same way (``dt`` too), so the two
+    are interchangeable in every comparison. Raises :class:`IntegratorError`
+    when a step does not resolve the coupling or a block's effective Rabi
+    frequency, and (from :func:`rk4_propagate`) when ``t`` is negative, not
+    finite, or needs more than its default maximum of steps.
+    """
+    dt = np.asarray(dt, dtype=float)
+    rabi_step = field.rabi * dt
+    if np.any(rabi_step > MAX_RABI_STEP * (1.0 + 1e-12)):
+        raise IntegratorError(f"rabi*dt = {np.max(rabi_step):.3g} exceeds {MAX_RABI_STEP}")
+    split_step = effective_rabi(block_detuning(p, field, mass_kg), field.rabi) * dt
+    if np.any(split_step > MAX_SPLIT_STEP * (1.0 + 1e-12)):
+        raise IntegratorError(
+            f"effective_rabi*dt = {np.max(split_step):.3g} exceeds {MAX_SPLIT_STEP}"
+        )
+    y0 = np.stack(np.broadcast_arrays(ground0, excited0), axis=-1)
+    y = rk4_propagate(block_hamiltonian(p, field, mass_kg), y0, t, dt)
+    return y[..., 0], y[..., 1]

@@ -1,6 +1,9 @@
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightwalk import embedded_table1
 from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main, run
@@ -163,10 +166,32 @@ def test_domain_errors_exit_4():
         ["simulate", "--species", "Mg-24", "--omega", "1e8", "--t-max", "1e300"],
         ["separate", "--pair", "Mg-24,Mg-25", "--t", "nan"],
         ["separate", "--pair", "Mg-24,Mg-25", "--t", "inf"],
+        # packet widths whose envelope under- or overflows on the grid
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--pi-hbark", "1e-140"],
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-300", "--pi-hbark", "1e200"],
     ],
 )
 def test_non_finite_input_exits_4(argv):
     assert run(argv) == (EXIT_DOMAIN, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--species", "Rb-87", "--delta", "1.7e308"],
+        ["bands", "--species", "Rb-87", "--delta=-1.7e308"],
+        ["bands", "--species", "Rb-87", "--p-min-hbark=-1e300"],
+        ["bands", "--species", "Rb-87", "--p-min-hbark=-1.7e308"],
+        ["bands", "--species", "Rb-87", "--p-min-hbark=-inf"],
+        ["bands", "--species", "Rb-87", "--p-max-hbark", "1e300"],
+        ["bands", "--species", "Rb-87", "--p-max-hbark", "1.7e308"],
+        ["bands", "--species", "Rb-87", "--p-max-hbark", "inf"],
+        ["separate", "--pi-hbark", "inf", "--t", "1e-4"],
+    ],
+)
+def test_non_finite_result_exits_4(argv, capsys):
+    assert run(argv) == (EXIT_DOMAIN, "")
+    assert "not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -209,3 +234,41 @@ def test_main_writes_stdout(capsys):
     assert main(["speeds"]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out.startswith("name,mass_u")
+
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, math.nan]).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+FUZZED_FLAGS = {
+    "simulate": ["--omega", "--delta", "--pi-hbark", "--pc-hbark", "--c0sq", "--x0",
+                 "--t-max", "--grid-span"],
+    "bands": ["--omega", "--delta", "--p-min-hbark", "--p-max-hbark"],
+    "separate": ["--t", "--kappa", "--pi-hbark", "--c0sq"],
+}
+# small fixed sizes keep every example fast
+FIXED_ARGS = {
+    "simulate": ["--species", "Mg-24", "--t-max", "1e-6", "--steps", "3", "--grid-points", "64"],
+    "bands": ["--species", "Rb-87", "--points", "16"],
+    "separate": ["--pair", "Mg-24,Mg-25,Rb-87", "--t", "1e-4"],
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FUZZED_FLAGS[command]), min_size=1, max_size=3,
+                          unique=True))
+    # a later flag overrides the fixed one; "--flag=value" keeps "-1e300" a value
+    return [command, *FIXED_ARGS[command], *(f"{flag}={draw(EXTREME_FLOATS)!r}" for flag in flags)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fuzzed_argv())
+def test_extreme_numeric_flags_exit_with_a_documented_code(argv):
+    code, out = run(argv)  # an escaping exception fails the example
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_FILE, EXIT_DOMAIN)
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+    assert code == EXIT_OK or out == ""

@@ -31,7 +31,7 @@ def test_constant_set_values():
 
 def test_inconsistent_hbar_rejected():
     with pytest.raises(DomainError):
-        PhysicalConstants(h=6.6e-34, hbar=1.0e-34, u=1.67e-27, c=3e8, set_tag="bad")
+        PhysicalConstants(h=6.6e-34, hbar=1.0e-34, u=1.67e-27, set_tag="bad")
 
 
 def test_mass_to_si():

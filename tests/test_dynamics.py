@@ -1,4 +1,8 @@
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,28 +11,23 @@ from hypothesis import strategies as st
 
 from lightwalk import (
     HBAR,
-    BlockAmplitudes,
     DomainError,
     GridCoverageError,
-    IntegratorConfig,
     LightField,
     MomentumGrid,
     WavepacketSpec,
     average_speed,
     band_structure,
     block_detuning,
-    block_hamiltonian,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
     effective_rabi,
     embedded_table1,
     evolve_block_numeric,
-    expectation_momentum,
     init_gaussian,
     mass_to_si,
     propagate,
-    rk4_propagate,
     simulate,
     wavenumber,
 )
@@ -66,20 +65,6 @@ def test_light_field_validation():
         LightField(wavelength=780e-9, wavenumber=1.0, rabi=0.0, detuning=0.0)
     with pytest.raises(DomainError):
         LightField.from_wavelength(780e-9, direction=2)
-
-
-def test_light_field_from_dipole():
-    field = LightField.from_dipole(780e-9, dipole_moment=-2.0e-29, field_amplitude=100.0)
-    assert field.rabi == pytest.approx(2.0e-29 * 100.0 / HBAR, rel=1e-12)
-    with pytest.raises(DomainError):
-        LightField(
-            wavelength=780e-9,
-            wavenumber=wavenumber(780e-9),
-            rabi=1.0,
-            detuning=0.0,
-            dipole_moment=2.0e-29,
-            field_amplitude=100.0,
-        )
 
 
 def test_wavepacket_spec_validation():
@@ -318,24 +303,22 @@ def test_analytic_matches_oracle_half_detuned():
     # momentum chosen so the block shift is rabi/2
     p = 0.5 * rabi * RB87_MASS / wavenumber(RB87_WAVELENGTH)
     t = 3 * 2 * math.pi / rabi
-    numeric = evolve_block_numeric(
-        BlockAmplitudes(p, 1.0, 0.0), field, RB87_MASS, t, IntegratorConfig(0.002 / rabi)
-    )
+    numeric = evolve_block_numeric(1.0, 0.0, p, field, RB87_MASS, t, 0.002 / rabi)
     ground, excited = propagate(1.0, 0.0, p, field, RB87_MASS, t)
-    assert abs(numeric.ground - ground) < 1e-8
-    assert abs(numeric.excited - excited) < 1e-8
+    assert abs(numeric[0] - ground) < 1e-8
+    assert abs(numeric[1] - excited) < 1e-8
 
 
 def test_evolution_composes():
     field = resonant_field(rabi=0.9e6)
     spec = WavepacketSpec(0.0, 0.05 * HBAR * wavenumber(RB87_WAVELENGTH))
     grid = MomentumGrid.for_packet(spec, n_points=256)
-    state = init_gaussian(spec, grid, field, RB87_MASS)
+    ground0, excited0 = init_gaussian(spec, grid)
     p = grid.points()
     t1, t2 = 1.3e-6, 3.1e-6
-    mid = propagate(state.ground, state.excited, p, field, RB87_MASS, t1)
+    mid = propagate(ground0, excited0, p, field, RB87_MASS, t1)
     via = propagate(*mid, p, field, RB87_MASS, t2 - t1)
-    direct = propagate(state.ground, state.excited, p, field, RB87_MASS, t2)
+    direct = propagate(ground0, excited0, p, field, RB87_MASS, t2)
     assert np.allclose(via[0], direct[0], rtol=1e-12, atol=1e-15)
     assert np.allclose(via[1], direct[1], rtol=1e-12, atol=1e-15)
     with pytest.raises(DomainError):
@@ -359,17 +342,18 @@ def packet(center_hbark=0.0, width_hbark=0.05, ground=1.0, excited=0.0, x0=0.0):
 def test_init_gaussian_normalization():
     spec = packet()
     grid = MomentumGrid.for_packet(spec, n_points=1024)
-    state = init_gaussian(spec, grid, resonant_field(), RB87_MASS)
-    assert state.norm() == pytest.approx(1.0, abs=1e-14)
-    assert state.excited_population() == 0.0
+    ground, excited = init_gaussian(spec, grid)
+    norm = float((np.abs(ground) ** 2 + np.abs(excited) ** 2).sum() * grid.spacing)
+    assert norm == pytest.approx(1.0, abs=1e-14)
+    assert float((np.abs(excited) ** 2).sum() * grid.spacing) == 0.0
 
 
 def test_init_gaussian_moments():
     spec = packet(center_hbark=0.3)
     grid = MomentumGrid.for_packet(spec, half_span=6.0, n_points=1024)
-    state = init_gaussian(spec, grid, resonant_field(), RB87_MASS)
+    ground, _ = init_gaussian(spec, grid)
     p = grid.points()
-    weights = np.abs(state.ground) ** 2 * grid.spacing
+    weights = np.abs(ground) ** 2 * grid.spacing
     mean = float((weights * p).sum())
     sigma = math.sqrt(float((weights * (p - mean) ** 2).sum()))
     assert abs(mean - spec.center_momentum) <= grid.spacing / 2
@@ -380,21 +364,31 @@ def test_init_gaussian_coverage_error():
     spec = packet()
     narrow = MomentumGrid.for_packet(spec, half_span=3.0, n_points=256)
     with pytest.raises(GridCoverageError):
-        init_gaussian(spec, narrow, resonant_field(), RB87_MASS)
+        init_gaussian(spec, narrow)
 
 
-def test_expectation_momentum_initial():
+@pytest.mark.parametrize("width_hbark", [1e-140, 1e200])
+def test_init_gaussian_refuses_a_width_out_of_float_range(width_hbark):
+    # the envelope underflows to 0 everywhere, or its exponent is inf / inf
+    spec = packet(width_hbark=width_hbark)
+    with pytest.raises(DomainError, match="out of float range"):
+        init_gaussian(spec, MomentumGrid.for_packet(spec, n_points=64))
+
+
+def test_initial_mean_momentum():
+    # the excited component carries one photon recoil
     recoil = HBAR * wavenumber(RB87_WAVELENGTH)
     ground_spec = packet(center_hbark=0.2)
     grid = MomentumGrid.for_packet(ground_spec, n_points=1024)
     field = resonant_field()
-    ground_state = init_gaussian(ground_spec, grid, field, RB87_MASS)
-    assert expectation_momentum(ground_state) == pytest.approx(
+    times = [0.0, 1e-9]
+    ground_run = simulate(ground_spec, grid, field, RB87_MASS, times)
+    assert ground_run.mean_momentum[0] == pytest.approx(
         ground_spec.center_momentum, rel=1e-9, abs=1e-9 * recoil
     )
     excited_spec = packet(center_hbark=0.2, ground=0.0, excited=1.0)
-    excited_state = init_gaussian(excited_spec, grid, field, RB87_MASS)
-    assert expectation_momentum(excited_state) == pytest.approx(
+    excited_run = simulate(excited_spec, grid, field, RB87_MASS, times)
+    assert excited_run.mean_momentum[0] == pytest.approx(
         excited_spec.center_momentum + recoil, rel=1e-9
     )
 
@@ -499,10 +493,9 @@ def per_time_reference(spec, grid, field, times):
     The independent reference for simulate's closed form: the norm comes
     from the evolved amplitudes, and each block is evolved to each time.
     """
-    state = init_gaussian(spec, grid, field, RB87_MASS)
     p, dp = grid.points(), grid.spacing
     ground, excited = propagate(
-        state.ground, state.excited, p, field, RB87_MASS, np.asarray(times)[:, None]
+        *init_gaussian(spec, grid), p, field, RB87_MASS, np.asarray(times)[:, None]
     )
     n_ground, n_excited = np.abs(ground) ** 2, np.abs(excited) ** 2
     return {
@@ -581,19 +574,17 @@ def test_simulate_matches_rk4_on_a_small_grid():
     times = np.array([0.0, 0.3e-6, 1.1e-6, 2.5e-6, 4.0e-6, 9.7e-6])
     trajectory = simulate(spec, grid, field, RB87_MASS, times)
 
-    state = init_gaussian(spec, grid, field, RB87_MASS)
     p, dp = grid.points(), grid.spacing
-    matrices = np.stack([block_hamiltonian(pk, field, RB87_MASS) for pk in p])
     split = effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi)
-    y0 = np.stack([state.ground, state.excited], axis=-1)
+    ground, excited = evolve_block_numeric(
+        *init_gaussian(spec, grid), p, field, RB87_MASS, times[:, None], 0.002 / split.max()
+    )
+    n_ground, n_excited = np.abs(ground) ** 2, np.abs(excited) ** 2
     recoil = abs(field.recoil_momentum)
-    for i, t in enumerate(times):
-        y = rk4_propagate(matrices, y0, t, 0.002 / split.max())
-        n_ground, n_excited = np.abs(y[:, 0]) ** 2, np.abs(y[:, 1]) ** 2
-        assert trajectory.norm[i] == pytest.approx((n_ground + n_excited).sum() * dp, abs=1e-8)
-        assert trajectory.excited_population[i] == pytest.approx(n_excited.sum() * dp, abs=1e-8)
-        mean_p = (n_ground @ p + n_excited @ (p + field.recoil_momentum)) * dp
-        assert abs(trajectory.mean_momentum[i] - mean_p) <= 1e-8 * recoil
+    assert np.abs(trajectory.norm - (n_ground + n_excited).sum(axis=1) * dp).max() <= 1e-8
+    assert np.abs(trajectory.excited_population - n_excited.sum(axis=1) * dp).max() <= 1e-8
+    mean_p = (n_ground @ p + n_excited @ (p + field.recoil_momentum)) * dp
+    assert np.abs(trajectory.mean_momentum - mean_p).max() <= 1e-8 * recoil
 
 
 def test_simulate_ground_start_population_is_exactly_zero_at_t0():
@@ -727,3 +718,16 @@ def test_average_speed_balanced_and_boosted():
         average_speed(species, 0.9, 0.2)
     with pytest.raises(DomainError):
         average_speed(species, 1.2, -0.2)
+
+
+# ----------------------------------------------------------------- README
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    assert math.isfinite(float(printed.getvalue()))

@@ -5,8 +5,6 @@ import pytest
 
 from lightwalk import (
     HBAR,
-    BlockAmplitudes,
-    IntegratorConfig,
     IntegratorError,
     LightField,
     block_detuning,
@@ -17,7 +15,6 @@ from lightwalk import (
     mass_to_si,
     propagate,
     rk4_propagate,
-    suggested_dt,
     wavenumber,
 )
 
@@ -32,48 +29,43 @@ def field_with_shift(shift, rabi=1.0e6):
     return LightField.from_wavelength(WAVELENGTH, rabi=rabi, detuning=shift - RECOIL_RATE)
 
 
-def test_config_validation():
+def test_non_positive_dt_rejected():
+    field = field_with_shift(0.0)
     with pytest.raises(IntegratorError):
-        IntegratorConfig(dt=0.0)
-    with pytest.raises(IntegratorError):
-        IntegratorConfig(dt=1e-9, method_tag="euler")
-    with pytest.raises(IntegratorError):
-        IntegratorConfig(dt=1e-9, max_steps=0)
+        evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, 0.0)
 
 
 def test_step_bounds_enforced_at_entry():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
     with pytest.raises(IntegratorError):
-        evolve_block_numeric(init, field, MASS, 1e-6, IntegratorConfig(dt=0.02 / rabi))
+        evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, 0.02 / rabi)
     # rabi*dt fine but the effective splitting is too fast for the step
     stiff = field_with_shift(5 * rabi, rabi)
     with pytest.raises(IntegratorError):
-        evolve_block_numeric(init, stiff, MASS, 1e-6, IntegratorConfig(dt=0.009 / rabi))
+        evolve_block_numeric(1.0, 0.0, 0.0, stiff, MASS, 1e-6, 0.009 / rabi)
 
 
 def test_max_steps_overflow():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    cfg = IntegratorConfig(dt=0.002 / rabi, max_steps=10)
+    # 5e8 steps of 2 ns, far over rk4_propagate's default cap of 5e6
     with pytest.raises(IntegratorError):
-        evolve_block_numeric(BlockAmplitudes(0.0, 1.0, 0.0), field, MASS, 1e-3, cfg)
+        evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1.0, 0.002 / rabi)
 
 
 def test_zero_time_is_identity():
     field = field_with_shift(0.3e6)
-    init = BlockAmplitudes(1e-28, 0.6, 0.8j)
-    out = evolve_block_numeric(init, field, MASS, 0.0, IntegratorConfig(dt=1e-9))
-    assert out == init
+    ground, excited = evolve_block_numeric(0.6, 0.8j, 1e-28, field, MASS, 0.0, 1e-9)
+    assert ground == 0.6
+    assert excited == 0.8j
 
 
 def test_resonant_pi_pulse():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
-    out = evolve_block_numeric(init, field, MASS, math.pi / rabi, IntegratorConfig(0.002 / rabi))
-    assert abs(out.excited) ** 2 == pytest.approx(1.0, abs=1e-8)
+    _, excited = evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, math.pi / rabi, 0.002 / rabi)
+    assert abs(excited) ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_matches_analytic_at_double_detuning():
@@ -82,37 +74,52 @@ def test_matches_analytic_at_double_detuning():
     field = field_with_shift(2 * rabi, rabi)
     raw = rng.normal(size=2) + 1j * rng.normal(size=2)
     raw /= np.linalg.norm(raw)
-    init = BlockAmplitudes(0.0, complex(raw[0]), complex(raw[1]))
     t = 10 * 2 * math.pi / rabi
-    numeric = evolve_block_numeric(init, field, MASS, t, IntegratorConfig(0.002 / rabi))
-    ground, excited = propagate(init.ground, init.excited, 0.0, field, MASS, t)
-    assert abs(numeric.ground - ground) < 1e-8
-    assert abs(numeric.excited - excited) < 1e-8
+    numeric = evolve_block_numeric(raw[0], raw[1], 0.0, field, MASS, t, 0.002 / rabi)
+    ground, excited = propagate(raw[0], raw[1], 0.0, field, MASS, t)
+    assert abs(numeric[0] - ground) < 1e-8
+    assert abs(numeric[1] - excited) < 1e-8
 
 
 def test_norm_drift_small():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
-    out = evolve_block_numeric(
-        init, field, MASS, 10 * 2 * math.pi / rabi, IntegratorConfig(0.01 / rabi)
+    ground, excited = evolve_block_numeric(
+        1.0, 0.0, 0.0, field, MASS, 10 * 2 * math.pi / rabi, 0.01 / rabi
     )
-    assert abs(out.norm_sq - 1.0) < 1e-8
+    assert abs(abs(ground) ** 2 + abs(excited) ** 2 - 1.0) < 1e-8
 
 
 def test_fourth_order_convergence():
     rabi = 1e6
     field = field_with_shift(2 * rabi, rabi)
     split = float(effective_rabi(2 * rabi, rabi))
-    init = BlockAmplitudes(0.0, 1.0, 0.0)
     t = 10 * 2 * math.pi / rabi
     ground, excited = propagate(1.0, 0.0, 0.0, field, MASS, t)
     errors = []
     for dt in (0.02 / split, 0.01 / split):
-        numeric = evolve_block_numeric(init, field, MASS, t, IntegratorConfig(dt))
-        errors.append(max(abs(numeric.ground - ground), abs(numeric.excited - excited)))
+        numeric = evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, t, dt)
+        errors.append(max(abs(numeric[0] - ground), abs(numeric[1] - excited)))
     factor = errors[0] / errors[1]
     assert 12.0 <= factor <= 20.0
+
+
+def test_broadcasts_like_propagate():
+    # amplitudes and momenta along one axis, times along another, one dt per time
+    rng = np.random.default_rng(5)
+    rabi = 1e6
+    field = field_with_shift(0.4 * rabi, rabi)
+    recoil = HBAR * wavenumber(WAVELENGTH)
+    p = np.linspace(-0.5, 0.5, 7) * recoil
+    g0 = rng.normal(size=7) + 1j * rng.normal(size=7)
+    e0 = rng.normal(size=7) + 1j * rng.normal(size=7)
+    t = np.array([0.0, 1.3, 4.0, 10.0])[:, None] * 2 * math.pi / rabi
+    dt = np.array([1.0, 2.0, 1.5, 1.0])[:, None] * 1e-3 / rabi
+    ground, excited = evolve_block_numeric(g0, e0, p, field, MASS, t, dt)
+    exact = propagate(g0, e0, p, field, MASS, t)
+    assert ground.shape == excited.shape == exact[0].shape == (4, 7)
+    assert np.abs(ground - exact[0]).max() < 1e-8
+    assert np.abs(excited - exact[1]).max() < 1e-8
 
 
 def test_randomized_agreement_batch():
@@ -127,7 +134,7 @@ def test_randomized_agreement_batch():
     fields = [field_with_shift(shifts[i], rabis[i]) for i in range(n)]
     matrices = np.stack([block_hamiltonian(0.0, f, MASS) for f in fields])
     periods = 2 * math.pi / rabis
-    dts = np.array([suggested_dt(f, shift_bound=shifts[i]) for i, f in enumerate(fields)])
+    dts = 0.002 / np.hypot(shifts, rabis)  # resolves each block's effective Rabi frequency
     out = rk4_propagate(matrices, inits, 10 * periods, dts)
 
     worst = 0.0
@@ -197,13 +204,6 @@ def test_rk4_propagate_rejects_non_finite_or_negative_time(t):
         rk4_propagate(np.stack([matrix, matrix]), np.stack([y0, y0]), np.array([1e-6, t]), 1e-9)
 
 
-def test_suggested_dt_resolves_fastest_scale():
-    field = field_with_shift(2e6, 1e6)
-    dt = suggested_dt(field, shift_bound=2e6)
-    split = float(effective_rabi(2e6, 1e6))
-    assert split * dt == pytest.approx(0.002, rel=1e-12)
-
-
 def test_hamiltonian_matches_block_shift():
     field = field_with_shift(0.7e6)
     p = 0.3 * HBAR * wavenumber(WAVELENGTH)
@@ -212,3 +212,12 @@ def test_hamiltonian_matches_block_shift():
     assert (matrix[1, 1] - matrix[0, 0]).real == pytest.approx(
         float(block_detuning(p, field, MASS)), rel=1e-12
     )
+
+
+def test_hamiltonian_broadcasts_over_momentum():
+    field = field_with_shift(0.7e6)
+    p = np.array([[-0.3, 0.0], [0.2, 1.1]]) * HBAR * wavenumber(WAVELENGTH)
+    matrices = block_hamiltonian(p, field, MASS)
+    assert matrices.shape == (2, 2, 2, 2)
+    for index in np.ndindex(p.shape):
+        assert np.array_equal(matrices[index], block_hamiltonian(p[index], field, MASS))
