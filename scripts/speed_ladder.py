@@ -12,7 +12,7 @@ def main() -> int:
     args = parser.parse_args()
 
     catalog = embedded_table1() if args.catalog is None else load_catalog(args.catalog)
-    speeds = {entry.name: entry.speed for entry in speed_table(catalog)}
+    speeds = speed_table(catalog)
     for label, mean, members in speed_ladder(catalog):
         print(f"{label:6s} mean {mean:.6f} m/s")
         for name in sorted(members, key=lambda n: -speeds[n]):

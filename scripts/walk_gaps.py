@@ -33,7 +33,7 @@ def main() -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     catalog = embedded_table1()
-    speeds = {entry.name: entry.speed for entry in speed_table(catalog)}
+    speeds = speed_table(catalog)
 
     write_panel(out / "walk_all_species.csv", catalog.names(),
                 np.linspace(0.0, 42e-6, args.points), speeds)

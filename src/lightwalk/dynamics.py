@@ -17,13 +17,13 @@ by both constant sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import Species
-from .constants import HBAR, PAPER_CONSTANTS, PhysicalConstants, mass_to_si, wavenumber
+from .constants import HBAR, U_ROUNDED, mass_to_si, wavenumber
 from .errors import DomainError, GridCoverageError
 
 _NORM_TOL = 1e-12
@@ -39,15 +39,16 @@ _CHUNK_DOUBLES = 1 << 14
 class LightField:
     """Traveling wave driving the transition.
 
-    ``wavenumber`` is signed: its sign is the propagation direction along x.
-    ``rabi`` is the coupling strength in rad/s (real and non-negative),
+    ``direction`` (+1 or -1) is the propagation direction along x,
+    ``rabi`` the coupling strength in rad/s (real and non-negative),
     ``detuning`` the light frequency offset from the bare transition in rad/s.
     """
 
     wavelength: float
-    wavenumber: float
-    rabi: float
-    detuning: float
+    _: KW_ONLY
+    rabi: float = 1.0e6
+    detuning: float = 0.0
+    direction: int = 1
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -56,26 +57,13 @@ class LightField:
             raise DomainError(f"rabi must be finite and non-negative, got {self.rabi}")
         if not math.isfinite(self.detuning):
             raise DomainError(f"detuning must be finite, got {self.detuning}")
-        expected = 2.0 * math.pi / self.wavelength
-        if not math.isclose(abs(self.wavenumber), expected, rel_tol=1e-12):
-            raise DomainError("|wavenumber| must equal 2 pi / wavelength")
-
-    @classmethod
-    def from_wavelength(
-        cls,
-        wavelength: float,
-        rabi: float = 1.0e6,
-        detuning: float = 0.0,
-        direction: int = 1,
-    ) -> "LightField":
-        if direction not in (1, -1):
+        if self.direction not in (1, -1):
             raise DomainError("direction must be +1 or -1")
-        return cls(
-            wavelength=wavelength,
-            wavenumber=direction * wavenumber(wavelength),
-            rabi=rabi,
-            detuning=detuning,
-        )
+
+    @property
+    def wavenumber(self) -> float:
+        """Signed angular wavenumber in rad/m: its sign is the direction."""
+        return self.direction * wavenumber(self.wavelength)
 
     @property
     def recoil_momentum(self) -> float:
@@ -251,8 +239,9 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
     The envelope is normalized to unit norm on the grid. Raises
     :class:`GridCoverageError` when the grid truncates more than 1e-6 of
     the packet's norm (grids should span the center +-5 widths), and
-    :class:`DomainError` when the width is so extreme that the envelope
-    over- or underflows and its norm is not finite and positive.
+    :class:`DomainError` when the width is so extreme that the squared grid
+    offsets overflow, or the envelope over- or underflows so that its norm
+    is not finite and positive.
     """
     pc, width = spec.center_momentum, spec.momentum_width
     tail = 0.5 * (
@@ -265,14 +254,16 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
         )
     p = grid.points()
     # float_power is the C pow of width**2 but overflows to inf instead of raising;
-    # an envelope that over- or underflows is refused below
+    # an offset whose square overflows (the envelope is then zeroed there) and an
+    # envelope that over- or underflows are refused below
     with np.errstate(all="ignore"):
-        envelope = np.exp(-((p - pc) ** 2) / (2.0 * np.float_power(width, 2))).astype(complex)
+        offset_sq = (p - pc) ** 2
+        envelope = np.exp(-offset_sq / (2.0 * np.float_power(width, 2))).astype(complex)
         norm = math.sqrt(float((np.abs(envelope) ** 2).sum()) * grid.spacing)
-    if not (math.isfinite(norm) and norm > 0.0):
+    if not (np.isfinite(offset_sq).all() and math.isfinite(norm) and norm > 0.0):
         raise DomainError(
-            f"momentum width {width:g} is out of float range: the packet envelope "
-            f"on the grid has norm {norm:g}"
+            f"momentum width {width:g} is out of float range: on the grid the squared "
+            f"offsets reach {offset_sq.max():g} and the packet envelope has norm {norm:g}"
         )
     envelope /= norm
     return spec.ground_amp * envelope, spec.excited_amp * envelope
@@ -418,30 +409,23 @@ def closed_form_velocity(
     return spec.center_momentum / mass_kg + drift * (1.0 - math.cos(field.rabi * t))
 
 
-def check_populations(ground_fraction: float, excited_fraction: float) -> None:
-    """Raise DomainError unless both populations lie in [0, 1] and sum to 1."""
-    if not (0.0 <= ground_fraction <= 1.0 and 0.0 <= excited_fraction <= 1.0):
-        raise DomainError("populations must lie in [0, 1]")
-    if abs(ground_fraction + excited_fraction - 1.0) > _NORM_TOL:
-        raise DomainError("populations must sum to 1")
-
-
 def average_speed(
     species: Species,
     ground_fraction: float = 1.0,
-    excited_fraction: float = 0.0,
+    *,
     center_momentum: float = 0.0,
-    consts: PhysicalConstants = PAPER_CONSTANTS,
+    amu: float = U_ROUNDED,
 ) -> float:
     """Rabi-period-averaged drift speed of a species.
 
-    v = pc / M + (n0 - n1) hbar k / (2 M); for a ground-state atom at rest
-    this is h / (2 M wavelength).
+    v = pc / M + (n0 - n1) hbar k / (2 M) with n0 = ``ground_fraction`` and
+    n1 = 1 - n0; for a ground-state atom at rest this is h / (2 M wavelength).
     """
-    check_populations(ground_fraction, excited_fraction)
-    mass_kg = mass_to_si(species.mass_u, consts)
+    if not 0.0 <= ground_fraction <= 1.0:
+        raise DomainError(f"ground fraction must lie in [0, 1], got {ground_fraction}")
+    mass_kg = mass_to_si(species.mass_u, amu)
     k = wavenumber(species.wavelength_nm * 1e-9)
     return (
         center_momentum / mass_kg
-        + (ground_fraction - excited_fraction) * consts.hbar * k / (2.0 * mass_kg)
+        + (ground_fraction - (1.0 - ground_fraction)) * HBAR * k / (2.0 * mass_kg)
     )

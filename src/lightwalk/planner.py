@@ -11,12 +11,12 @@ resolvable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import Sequence
 
 from .catalog import Catalog, Species
-from .constants import PAPER_CONSTANTS, PhysicalConstants, mass_to_si
-from .dynamics import WavepacketSpec, average_speed, check_populations
+from .constants import HBAR, U_ROUNDED, mass_to_si
+from .dynamics import WavepacketSpec, average_speed
 from .errors import DomainError
 
 # Atomic-number ranges of the speed-ladder groups, lightest to heaviest.
@@ -49,22 +49,16 @@ _ELEMENT_NUMBERS = {
 
 @dataclass(frozen=True)
 class MixtureMember:
-    """One species in the mixture with its internal-state populations."""
+    """One species in the mixture; the excited fraction is 1 - ground_fraction."""
 
     species: Species
     ground_fraction: float = 1.0
-    excited_fraction: float = 0.0
+    _: KW_ONLY
     center_momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        check_populations(self.ground_fraction, self.excited_fraction)
-
-
-class SpeedEntry(NamedTuple):
-    name: str
-    mass_u: float
-    wavelength_nm: float
-    speed: float
+        if not 0.0 <= self.ground_fraction <= 1.0:
+            raise DomainError(f"ground fraction must lie in [0, 1], got {self.ground_fraction}")
 
 
 @dataclass(frozen=True)
@@ -89,23 +83,17 @@ class SeparationReport:
     pairs: tuple[PairSeparation, ...]
 
 
-def speed_table(
-    catalog: Catalog, consts: PhysicalConstants = PAPER_CONSTANTS
-) -> list[SpeedEntry]:
-    """Ground-state drift speed h/(2 M wavelength) for every catalog entry."""
-    return [
-        SpeedEntry(sp.name, sp.mass_u, sp.wavelength_nm, average_speed(sp, consts=consts))
-        for sp in catalog
-    ]
+def speed_table(catalog: Catalog, amu: float = U_ROUNDED) -> dict[str, float]:
+    """Ground-state drift speed h/(2 M wavelength) by name, in catalog order."""
+    return {sp.name: average_speed(sp, amu=amu) for sp in catalog}
 
 
-def member_speed(member: MixtureMember, consts: PhysicalConstants = PAPER_CONSTANTS) -> float:
+def member_speed(member: MixtureMember, amu: float = U_ROUNDED) -> float:
     return average_speed(
         member.species,
         member.ground_fraction,
-        member.excited_fraction,
-        member.center_momentum,
-        consts,
+        center_momentum=member.center_momentum,
+        amu=amu,
     )
 
 
@@ -113,7 +101,7 @@ def pairwise_gap(
     a: MixtureMember,
     b: MixtureMember,
     t: float,
-    consts: PhysicalConstants = PAPER_CONSTANTS,
+    amu: float = U_ROUNDED,
 ) -> float:
     """Displacement gap |v_a - v_b| t from the period-averaged speeds.
 
@@ -122,15 +110,10 @@ def pairwise_gap(
     """
     if t < 0:
         raise DomainError(f"time must be non-negative, got {t}")
-    return abs(member_speed(a, consts) - member_speed(b, consts)) * t
+    return abs(member_speed(a, amu) - member_speed(b, amu)) * t
 
 
-def packet_width(
-    spec: WavepacketSpec,
-    mass_kg: float,
-    t: float,
-    consts: PhysicalConstants = PAPER_CONSTANTS,
-) -> float:
+def packet_width(spec: WavepacketSpec, mass_kg: float, t: float) -> float:
     """Ballistic spatial width of a minimum-uncertainty packet at time t.
 
     sigma_x(t) = sqrt(sigma_x0^2 + (sigma_p t / M)^2) with
@@ -141,13 +124,13 @@ def packet_width(
     if not mass_kg > 0:
         raise DomainError(f"mass must be positive, got {mass_kg}")
     sigma_p = spec.momentum_width / math.sqrt(2.0)
-    sigma_x0 = consts.hbar / (2.0 * sigma_p)
+    sigma_x0 = HBAR / (2.0 * sigma_p)
     return math.hypot(sigma_x0, sigma_p * t / mass_kg)
 
 
-def _width_at(momentum_width: float, mass_kg: float, t: float, consts: PhysicalConstants) -> float:
+def _width_at(momentum_width: float, mass_kg: float, t: float) -> float:
     spec = WavepacketSpec(center_momentum=0.0, momentum_width=momentum_width)
-    return packet_width(spec, mass_kg, t, consts)
+    return packet_width(spec, mass_kg, t)
 
 
 def _time_to_resolve(
@@ -156,7 +139,6 @@ def _time_to_resolve(
     mass_b: float,
     kappa: float,
     momentum_width: float,
-    consts: PhysicalConstants,
 ) -> float | None:
     """Smallest t with gap(t) = kappa * (width_a + width_b)(t), by bisection.
 
@@ -171,9 +153,7 @@ def _time_to_resolve(
         return None
 
     def shortfall(t: float) -> float:
-        widths = _width_at(momentum_width, mass_a, t, consts) + _width_at(
-            momentum_width, mass_b, t, consts
-        )
+        widths = _width_at(momentum_width, mass_a, t) + _width_at(momentum_width, mass_b, t)
         return speed_gap * t - kappa * widths
 
     lo, hi = 0.0, 10.0
@@ -195,7 +175,7 @@ def separation_report(
     t: float,
     kappa: float = 2.0,
     momentum_width: float = 1e-28,
-    consts: PhysicalConstants = PAPER_CONSTANTS,
+    amu: float = U_ROUNDED,
 ) -> SeparationReport:
     """Gap-versus-width verdict for every unordered pair of the mixture.
 
@@ -214,12 +194,12 @@ def separation_report(
 
     pairs = []
     for i, a in enumerate(mixture):
-        mass_a = mass_to_si(a.species.mass_u, consts)
-        width_a = _width_at(momentum_width, mass_a, t, consts)
+        mass_a = mass_to_si(a.species.mass_u, amu)
+        width_a = _width_at(momentum_width, mass_a, t)
         for b in mixture[i + 1 :]:
-            mass_b = mass_to_si(b.species.mass_u, consts)
-            width_b = _width_at(momentum_width, mass_b, t, consts)
-            speed_gap = abs(member_speed(a, consts) - member_speed(b, consts))
+            mass_b = mass_to_si(b.species.mass_u, amu)
+            width_b = _width_at(momentum_width, mass_b, t)
+            speed_gap = abs(member_speed(a, amu) - member_speed(b, amu))
             gap = speed_gap * t
             pairs.append(
                 PairSeparation(
@@ -231,7 +211,7 @@ def separation_report(
                     width_b=width_b,
                     resolvable=gap >= kappa * (width_a + width_b),
                     time_required=_time_to_resolve(
-                        speed_gap, mass_a, mass_b, kappa, momentum_width, consts
+                        speed_gap, mass_a, mass_b, kappa, momentum_width
                     ),
                 )
             )
@@ -248,7 +228,7 @@ def _element_symbol(name: str) -> str:
 
 
 def speed_ladder(
-    catalog: Catalog, consts: PhysicalConstants = PAPER_CONSTANTS
+    catalog: Catalog, amu: float = U_ROUNDED
 ) -> list[tuple[str, float, tuple[str, ...]]]:
     """Mean ground-state speed per ladder group, lightest group first.
 
@@ -256,7 +236,7 @@ def speed_ladder(
     cross group boundaries (a heavy atom on a short transition can outrun
     a lighter one), but the group means step monotonically downward.
     """
-    table = {entry.name: entry.speed for entry in speed_table(catalog, consts)}
+    table = speed_table(catalog, amu)
     ladder = []
     for label, z_lo, z_hi in LADDER_GROUPS:
         members = tuple(

@@ -98,7 +98,7 @@ def _reference_field(rabi: float = 1.0e6, shift: float = 0.0) -> tuple[LightFiel
     mass_kg = mass_to_si(species.mass_u)
     wavelength = species.wavelength_nm * 1e-9
     recoil_rate = HBAR * wavenumber(wavelength) ** 2 / (2.0 * mass_kg)
-    field = LightField.from_wavelength(wavelength, rabi=rabi, detuning=shift - recoil_rate)
+    field = LightField(wavelength, rabi=rabi, detuning=shift - recoil_rate)
     return field, mass_kg
 
 
@@ -180,9 +180,9 @@ def check_strong_coupling() -> CheckResult:
     recoil = HBAR * wavenumber(wavelength)
     spec = WavepacketSpec(center_momentum=0.0, momentum_width=0.05 * recoil)
     grid = MomentumGrid.for_packet(spec, half_span=6.0, n_points=4096)
-    probe = LightField.from_wavelength(wavelength, rabi=1.0, detuning=0.0)
+    probe = LightField(wavelength, rabi=1.0, detuning=0.0)
     max_shift = float(np.abs(block_detuning(grid.points(), probe, mass_kg)).max())
-    field = LightField.from_wavelength(wavelength, rabi=100.0 * max_shift, detuning=0.0)
+    field = LightField(wavelength, rabi=100.0 * max_shift, detuning=0.0)
     period = field.period
     times = np.linspace(0.0, 3.0 * period, 3 * 200 + 1)
     trajectory = simulate(spec, grid, field, mass_kg, times)

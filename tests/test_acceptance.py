@@ -16,7 +16,7 @@ import pytest
 
 from lightwalk import validation
 from lightwalk.catalog import embedded_table1
-from lightwalk.constants import H_PLANCK, PAPER_CONSTANTS
+from lightwalk.constants import H_PLANCK, U_ROUNDED
 from lightwalk.dynamics import average_speed
 
 _CHECKS = dict(validation.ALL_CHECKS)
@@ -67,7 +67,7 @@ def assert_table1_verdict(result: validation.CheckResult) -> None:
     # the program's Eu-153 speed sits below it by exactly the mass ratio.
     europium = catalog.get("Eu-153")
     eu152_speed = H_PLANCK / (
-        2.0 * EU152_MASS_U * PAPER_CONSTANTS.u * europium.wavelength_nm * 1e-9
+        2.0 * EU152_MASS_U * U_ROUNDED * europium.wavelength_nm * 1e-9
     )
     published = reference["Eu-153"]
     assert abs(eu152_speed - published) / published <= TABLE1_BOUND

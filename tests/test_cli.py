@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from lightwalk import embedded_table1
 from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main, run
+
+# a command's exit code must not depend on the warnings filter
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def rows_of(document):
@@ -43,6 +47,20 @@ def test_speeds_from_catalog_file(tmp_path):
     assert code == EXIT_OK
     _, rows = rows_of(out)
     assert [r[0] for r in rows] == ["Rb-85", "Rb-87"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["speeds", "separate --t 1e-4", "simulate --species A-1 --t-max 1e-6", "bands --species A-1"],
+)
+def test_catalog_mass_that_underflows_in_kg_exits_4(tmp_path, command):
+    # 1e-320 u is a positive catalog mass but 0 kg once converted
+    path = tmp_path / "tiny.csv"
+    path.write_text(
+        "name,mass_u,transition,wavelength_nm\nA-1,1e-320,x,500.0\nB-2,2.0,x,500.0\n",
+        encoding="utf-8",
+    )
+    assert run([*command.split(), "--catalog", str(path)]) == (EXIT_DOMAIN, "")
 
 
 def test_missing_catalog_file_is_file_error(tmp_path):
@@ -135,6 +153,30 @@ def test_deterministic_output():
         assert first[1].encode("utf-8") == second[1].encode("utf-8")
 
 
+# sha256 of the stdout of deterministic commands; simulate is left out because
+# its cos/sin and matrix-product kernels round differently across CPUs
+PINNED_OUTPUTS = {
+    "speeds": "76a44ff9f265b8ffc325e746355035dc35838b30209db0a779a31fd04468892a",
+    "speeds --constants codata":
+        "57efb69dbb18ded47e59191c7a1443dc441ae28ebfede2d3c31b06446c1a0b51",
+    "bands --species Rb-87": "213b7cad3946f1c333f5bc2d0829229b9df12218d18264d48c9473e34c3b5072",
+    "bands --species Rb-87 --direction -1 --delta 3e5 --constants codata":
+        "77484604ed899ec93c48fe074331d88ef48454f8afd2d2dd89c8b5f2bd2eb11f",
+    "separate --t 1e-4": "e88e97a79160e4b5962987f15383a731b325e22605ce2b852637af391b3faa9a",
+    "separate --pair Mg-24,Mg-25,Mg-26 --t 42e-6":
+        "c227108c6f2e96cd56f61ea462b5fc48ecc045815fb7f752c89bb6cb87680fb4",
+    "separate --t 1e-4 --c0sq 0.25 --constants codata":
+        "14fde034230d43db2174ae49e5c091e59335222d5602e8db4d062751a04f9569",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+def test_output_bytes_are_pinned(command):
+    code, out = run(command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[command]
+
+
 def test_usage_errors_exit_2():
     assert run(["unknown-command"])[0] == EXIT_USAGE
     assert run(["simulate", "--species", "Mg-24"])[0] == EXIT_USAGE  # missing --t-max
@@ -169,6 +211,8 @@ def test_domain_errors_exit_4():
         # packet widths whose envelope under- or overflows on the grid
         ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--pi-hbark", "1e-140"],
         ["simulate", "--species", "Mg-24", "--t-max", "1e-300", "--pi-hbark", "1e200"],
+        # squared grid offsets that overflow while the width squared does not
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-200", "--pi-hbark", "2e180"],
     ],
 )
 def test_non_finite_input_exits_4(argv):

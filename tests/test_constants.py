@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lightwalk import (
-    CODATA_CONSTANTS,
-    PAPER_CONSTANTS,
+    CONSTANT_SETS,
+    HBAR,
+    H_PLANCK,
+    U_CODATA,
+    U_ROUNDED,
     DomainError,
-    PhysicalConstants,
     average_speed,
     embedded_table1,
     mass_to_si,
@@ -17,32 +19,34 @@ from lightwalk import (
 
 
 def test_hbar_consistency():
-    for consts in (PAPER_CONSTANTS, CODATA_CONSTANTS):
-        assert consts.hbar == pytest.approx(consts.h / (2 * math.pi), rel=1e-15)
+    assert HBAR == pytest.approx(H_PLANCK / (2 * math.pi), rel=1e-15)
 
 
 def test_constant_set_values():
-    assert PAPER_CONSTANTS.u == 1.67e-27
-    assert CODATA_CONSTANTS.u == 1.66053906660e-27
-    assert PAPER_CONSTANTS.h == CODATA_CONSTANTS.h == 6.62607015e-34
-    assert PAPER_CONSTANTS.set_tag == "paper"
-    assert CODATA_CONSTANTS.set_tag == "codata"
-
-
-def test_inconsistent_hbar_rejected():
-    with pytest.raises(DomainError):
-        PhysicalConstants(h=6.6e-34, hbar=1.0e-34, u=1.67e-27, set_tag="bad")
+    # a constant set is its atomic mass unit
+    assert CONSTANT_SETS == {"paper": U_ROUNDED, "codata": U_CODATA}
+    assert U_ROUNDED == 1.67e-27
+    assert U_CODATA == 1.66053906660e-27
+    assert H_PLANCK == 6.62607015e-34
 
 
 def test_mass_to_si():
-    assert mass_to_si(1.0, PAPER_CONSTANTS) == pytest.approx(1.67e-27, rel=1e-15)
-    assert mass_to_si(7.016004, PAPER_CONSTANTS) == pytest.approx(1.171672668e-26, rel=1e-9)
+    assert mass_to_si(1.0, U_ROUNDED) == pytest.approx(1.67e-27, rel=1e-15)
+    assert mass_to_si(7.016004, U_ROUNDED) == pytest.approx(1.171672668e-26, rel=1e-9)
+    assert mass_to_si(1.0, U_CODATA) == U_CODATA
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -7.0])
 def test_mass_to_si_rejects_nonpositive(bad):
     with pytest.raises(DomainError):
         mass_to_si(bad)
+
+
+@pytest.mark.parametrize("mass_u, amu", [(1e-320, U_ROUNDED), (1.0, -1.67e-27), (-1.0, -1.67e-27)])
+def test_mass_to_si_rejects_a_non_positive_product(mass_u, amu):
+    # 1e-320 u underflows to 0 kg, which speeds would divide by
+    with pytest.raises(DomainError):
+        mass_to_si(mass_u, amu=amu)
 
 
 def test_wavenumber_values():
@@ -63,10 +67,10 @@ def test_wavenumber_round_trip(wavelength):
 
 def test_constant_set_speed_sensitivity():
     # switching u between the sets rescales every speed by the same factor
-    expected = PAPER_CONSTANTS.u / CODATA_CONSTANTS.u - 1.0
+    expected = U_ROUNDED / U_CODATA - 1.0
     for species in embedded_table1():
-        v_paper = average_speed(species, consts=PAPER_CONSTANTS)
-        v_codata = average_speed(species, consts=CODATA_CONSTANTS)
+        v_paper = average_speed(species, amu=U_ROUNDED)
+        v_codata = average_speed(species, amu=U_CODATA)
         change = v_codata / v_paper - 1.0
         assert change == pytest.approx(expected, rel=1e-12)
         assert abs(change) < 7e-3

@@ -26,7 +26,7 @@ RECOIL_RATE = HBAR * wavenumber(WAVELENGTH) ** 2 / (2 * MASS)
 
 def field_with_shift(shift, rabi=1.0e6):
     """Field whose p=0 block has the requested shift."""
-    return LightField.from_wavelength(WAVELENGTH, rabi=rabi, detuning=shift - RECOIL_RATE)
+    return LightField(WAVELENGTH, rabi=rabi, detuning=shift - RECOIL_RATE)
 
 
 def test_non_positive_dt_rejected():

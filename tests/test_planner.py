@@ -26,23 +26,25 @@ from lightwalk import (
 CATALOG = embedded_table1()
 
 
-def member(name, ground=1.0, excited=0.0, p_c=0.0):
-    return MixtureMember(CATALOG.get(name), ground, excited, p_c)
+def member(name, ground=1.0, p_c=0.0):
+    return MixtureMember(CATALOG.get(name), ground, center_momentum=p_c)
 
 
 def test_member_validation():
     with pytest.raises(DomainError):
-        MixtureMember(CATALOG.get("Li-7"), 0.7, 0.7)
+        MixtureMember(CATALOG.get("Li-7"), 1.4)
     with pytest.raises(DomainError):
-        MixtureMember(CATALOG.get("Li-7"), 1.4, -0.4)
+        MixtureMember(CATALOG.get("Li-7"), -0.4)
+    # the excited fraction is derived; an old (ground, excited) call must not
+    # bind the excited fraction to the center momentum
+    with pytest.raises(TypeError):
+        MixtureMember(CATALOG.get("Li-7"), 0.3, 0.7)
 
 
 def test_speed_table_values():
-    table = {entry.name: entry for entry in speed_table(CATALOG)}
+    table = speed_table(CATALOG)
     assert len(table) == 24
-    assert table["U-238"].speed == pytest.approx(0.0023247, rel=5e-4)
-    assert table["Li-7"].mass_u == 7.016004
-    assert table["Li-7"].wavelength_nm == 670.7926
+    assert table["U-238"] == pytest.approx(0.0023247, rel=5e-4)
 
 
 def test_speed_table_against_reference_column():
@@ -52,9 +54,9 @@ def test_speed_table_against_reference_column():
     # pinned 0.65% (see the validate command's table1-speeds detail)
     from lightwalk.validation import REFERENCE_SPEEDS
 
-    for entry in speed_table(CATALOG):
-        residual = abs(entry.speed - REFERENCE_SPEEDS[entry.name]) / REFERENCE_SPEEDS[entry.name]
-        if entry.name == "Eu-153":
+    for name, speed in speed_table(CATALOG).items():
+        residual = abs(speed - REFERENCE_SPEEDS[name]) / REFERENCE_SPEEDS[name]
+        if name == "Eu-153":
             assert 6.0e-3 < residual < 7.0e-3
         else:
             assert residual < 5e-5
@@ -64,21 +66,21 @@ def test_speed_halves_when_mass_doubles():
     base = Species("X-1", 10.0, "label", 500.0)
     heavy = Species("X-2", 20.0, "label", 500.0)
     catalog = Catalog((base, heavy), "synthetic")
-    speeds = {e.name: e.speed for e in speed_table(catalog)}
+    speeds = speed_table(catalog)
     assert speeds["X-2"] == pytest.approx(speeds["X-1"] / 2, rel=1e-12)
 
 
 def test_speed_table_order_follows_catalog():
     reversed_catalog = Catalog(tuple(reversed(CATALOG.entries)), "reversed")
-    forward = {e.name: e.speed for e in speed_table(CATALOG)}
-    backward = {e.name: e.speed for e in speed_table(reversed_catalog)}
+    forward = speed_table(CATALOG)
+    backward = speed_table(reversed_catalog)
     assert forward == backward
-    assert [e.name for e in speed_table(reversed_catalog)] == list(reversed_catalog.names())
+    assert list(backward) == list(reversed_catalog.names())
 
 
 def test_member_speed_population_flip():
     ground = member_speed(member("Rb-87"))
-    inverted = member_speed(member("Rb-87", ground=0.0, excited=1.0))
+    inverted = member_speed(member("Rb-87", ground=0.0))
     assert inverted == pytest.approx(-ground, rel=1e-12)
 
 
