@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CatalogError, CatalogParseError, CatalogValidationError, DomainError
+from .errors import CatalogError, DomainError
 
 CATALOG_HEADER = "name,mass_u,transition,wavelength_nm"
 
@@ -76,19 +76,19 @@ def _parse_number(token: str, what: str, line_no: int, column: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise CatalogParseError(f"{what} is not a number: {token!r}", line_no, column) from None
+        raise CatalogError(f"{what} is not a number: {token!r}", line_no, column) from None
     if not math.isfinite(value):
-        raise CatalogParseError(f"{what} must be finite, got {token!r}", line_no, column)
+        raise CatalogError(f"{what} must be finite, got {token!r}", line_no, column)
     if not value > 0:
-        raise CatalogParseError(f"{what} must be positive, got {token!r}", line_no, column)
+        raise CatalogError(f"{what} must be positive, got {token!r}", line_no, column)
     return value
 
 
 def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
     """Parse catalog text into a :class:`Catalog`.
 
-    Raises :class:`CatalogParseError` for malformed lines (with 1-based line
-    and column) and :class:`CatalogValidationError` for duplicate names.
+    Raises :class:`CatalogError` for malformed lines (with 1-based line
+    and column) and for duplicate names (with the line).
     """
     entries: list[Species] = []
     seen: dict[str, int] = {}
@@ -99,15 +99,15 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
             continue
         if not header_seen:
             if line.replace(" ", "") != CATALOG_HEADER:
-                raise CatalogParseError(
-                    f"expected header {CATALOG_HEADER!r}, got {line!r}", line_no
+                raise CatalogError(
+                    f"expected header {CATALOG_HEADER!r}, got {line!r}", line_no, 1
                 )
             header_seen = True
             continue
         fields = raw.split(",")
         if len(fields) != 4:
-            raise CatalogParseError(
-                f"expected 4 comma-separated fields, got {len(fields)}", line_no
+            raise CatalogError(
+                f"expected 4 comma-separated fields, got {len(fields)}", line_no, 1
             )
         # 1-based start column of each field in the raw line
         columns = [1]
@@ -115,21 +115,21 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
             columns.append(columns[-1] + len(f) + 1)
         name = fields[0].strip()
         if not name:
-            raise CatalogParseError("species name is empty", line_no, columns[0])
+            raise CatalogError("species name is empty", line_no, columns[0])
         mass_u = _parse_number(fields[1].strip(), "mass_u", line_no, columns[1])
         transition = fields[2].strip()
         wavelength_nm = _parse_number(
             fields[3].strip(), "wavelength_nm", line_no, columns[3]
         )
         if name in seen:
-            raise CatalogValidationError(
+            raise CatalogError(
                 f"duplicate species name {name!r} (first defined on line {seen[name]})",
                 line_no,
             )
         seen[name] = line_no
         entries.append(Species(name, mass_u, transition, wavelength_nm))
     if not header_seen:
-        raise CatalogParseError(f"missing header {CATALOG_HEADER!r}", 1)
+        raise CatalogError(f"missing header {CATALOG_HEADER!r}", 1, 1)
     return Catalog(entries=tuple(entries), source_tag=source_tag)
 
 

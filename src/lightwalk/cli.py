@@ -55,13 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--output", default="-", metavar="PATH",
+                       help="output file, '-' for stdout (default)")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--constants", choices=sorted(CONSTANT_SETS), default="paper",
                        help="constant set (default: paper)")
         p.add_argument("--catalog", default=None, metavar="PATH",
                        help="species catalog file (default: embedded dataset)")
-        p.add_argument("--output", default="-", metavar="PATH",
-                       help="output file, '-' for stdout (default)")
+        add_output(p)
 
     p = sub.add_parser("speeds", help="per-species drift speed table (CSV)")
     add_common(p)
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0sq", type=float, default=1.0)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
-    add_common(p)
+    add_output(p)
     p.add_argument("--only", action="append", default=None, metavar="NAME",
                    help="run only the named check (repeatable); names: "
                         + ", ".join(name for name, _ in validation.ALL_CHECKS))
@@ -220,8 +223,6 @@ def _cmd_separate(args: argparse.Namespace) -> str:
         raise UsageError("separate needs at least two species names")
     if len(set(names)) < len(names):
         raise UsageError(f"species names repeat in --pair {args.pair!r}")
-    if not math.isfinite(args.t):
-        raise DomainError(f"t must be finite, got {args.t}")
     members = [MixtureMember(_species(catalog, n), args.c0sq) for n in names]
     mean_k = sum(wavenumber(m.species.wavelength_nm * 1e-9) for m in members) / len(members)
     momentum_width = args.pi_hbark * HBAR * mean_k

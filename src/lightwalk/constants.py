@@ -12,6 +12,7 @@ Planck's constant is the exact SI value in both.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -25,10 +26,16 @@ CONSTANT_SETS = {"paper": U_ROUNDED, "codata": U_CODATA}
 
 
 def mass_to_si(mass_u: float, amu: float = U_ROUNDED) -> float:
-    """Convert a mass in atomic mass units to kg; the result must be positive."""
+    """Convert a mass in atomic mass units to kg; the result must be a normal float.
+
+    A subnormal kg mass carries a large relative rounding error and its
+    inverse overflows, so it is refused like zero.
+    """
     mass_kg = mass_u * amu
-    if not (mass_u > 0 and mass_kg > 0):
-        raise DomainError(f"mass must be positive, got {mass_u} u at {amu} kg/u")
+    if not (mass_u > 0 and mass_kg >= sys.float_info.min):
+        raise DomainError(
+            f"mass must be at least {sys.float_info.min:g} kg, got {mass_u} u at {amu} kg/u"
+        )
     return mass_kg
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import Species
 from .constants import HBAR, U_ROUNDED, mass_to_si, wavenumber
-from .errors import DomainError, GridCoverageError
+from .errors import DomainError
 
 _NORM_TOL = 1e-12
 # simulate refuses runs whose largest phase S t_max carries a rounding error
@@ -217,8 +217,9 @@ def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):
     the limit the safe divisions below implement.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise DomainError(f"time must be non-negative, got {t.min()}")
+    bad = ~((0.0 <= t) & (t < math.inf))
+    if bad.any():
+        raise DomainError(f"time must be finite and non-negative, got {t[bad].flat[0]}")
     shift = block_detuning(p, field, mass_kg)
     split = effective_rabi(shift, field.rabi)
     trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
@@ -237,18 +238,18 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
     """t = 0 amplitudes (ground, excited) of the Gaussian packet on the grid.
 
     The envelope is normalized to unit norm on the grid. Raises
-    :class:`GridCoverageError` when the grid truncates more than 1e-6 of
+    :class:`DomainError` when the grid truncates more than 1e-6 of
     the packet's norm (grids should span the center +-5 widths), and
-    :class:`DomainError` when the width is so extreme that the squared grid
-    offsets overflow, or the envelope over- or underflows so that its norm
-    is not finite and positive.
+    when the width is so extreme that the squared grid offsets overflow,
+    or the envelope over- or underflows so that its norm is not finite
+    and positive.
     """
     pc, width = spec.center_momentum, spec.momentum_width
     tail = 0.5 * (
         math.erfc((grid.p_max - pc) / width) + math.erfc((pc - grid.p_min) / width)
     )
     if tail > 1e-6:
-        raise GridCoverageError(
+        raise DomainError(
             f"grid [{grid.p_min:g}, {grid.p_max:g}] truncates {tail:.2e} of the "
             f"packet norm (center {pc:g}, width {width:g})"
         )
@@ -381,8 +382,8 @@ def closed_form_displacement(
 
     Valid when the coupling dominates every block shift on the packet.
     """
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and non-negative, got {t}")
     if not mass_kg > 0:
         raise DomainError(f"mass must be positive, got {mass_kg}")
     rabi = field.rabi
@@ -401,8 +402,8 @@ def closed_form_velocity(
     t: float, spec: WavepacketSpec, field: LightField, mass_kg: float
 ) -> float:
     """Strong-coupling mean velocity, periodic with the Rabi period."""
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and non-negative, got {t}")
     if not mass_kg > 0:
         raise DomainError(f"mass must be positive, got {mass_kg}")
     drift = spec.population_difference * field.recoil_momentum / (2.0 * mass_kg)

@@ -1,34 +1,22 @@
-"""Exception types shared across the package."""
+"""The package's two exception types, one per CLI exit code (4 and 3)."""
 
 
 class DomainError(ValueError):
-    """A physical-domain precondition was violated (bad mass, populations, ...)."""
-
-
-class GridCoverageError(DomainError):
-    """Momentum grid too narrow for the requested wavepacket (truncated tail)."""
-
-
-class IntegratorError(ValueError):
-    """Numeric integrator configured outside its validity bounds."""
+    """An input or result outside the physical or numerical domain (exit 4)."""
 
 
 class CatalogError(ValueError):
-    """Base class for species-catalog problems."""
+    """A species catalog that is malformed or breaks a catalog invariant (exit 3).
 
+    ``line`` and ``column`` are the 1-based location of the offence in the
+    catalog text, or None where it has none.
+    """
 
-class CatalogParseError(CatalogError):
-    """Malformed catalog text. Carries 1-based line and column of the offence."""
-
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None and column is not None:
+            message = f"line {line}, column {column}: {message}"
+        elif line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
-
-
-class CatalogValidationError(CatalogError):
-    """Structurally valid catalog text violating a catalog invariant."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line

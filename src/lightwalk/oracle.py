@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import LightField, block_detuning, effective_rabi, kinetic_frequency
-from .errors import IntegratorError
+from .errors import DomainError
 
 # resolution bounds for the fastest time scales present in a block
 MAX_RABI_STEP = 0.01  # rabi * dt
 MAX_SPLIT_STEP = 0.02  # effective_rabi * dt
+MAX_STEPS = 5_000_000  # full RK4 steps per call
 
 
 def block_hamiltonian(p, field: LightField, mass_kg: float) -> np.ndarray:
@@ -28,12 +29,13 @@ def block_hamiltonian(p, field: LightField, mass_kg: float) -> np.ndarray:
     return np.stack(rows, axis=-2).astype(complex)
 
 
-def rk4_propagate(matrix, amplitudes, t, dt, max_steps: int = 5_000_000) -> np.ndarray:
+def rk4_propagate(matrix, amplitudes, t, dt) -> np.ndarray:
     """Integrate i d/dt y = matrix y over time t with classical RK4.
 
     Shapes broadcast: ``matrix`` is (..., 2, 2), ``amplitudes`` (..., 2),
     and ``t``/``dt`` scalars or (...)-shaped, so a batch of independent
-    blocks integrates in lockstep. ``t`` must be finite and non-negative.
+    blocks integrates in lockstep. ``t`` must be finite and non-negative
+    and need at most ``MAX_STEPS`` full steps.
     The final partial step is shortened so each end time is hit exactly.
     For a constant matrix one RK4 step of size h is exactly
     ``y <- R(h A) y`` with ``A = -i matrix`` and the stability polynomial
@@ -45,13 +47,13 @@ def rk4_propagate(matrix, amplitudes, t, dt, max_steps: int = 5_000_000) -> np.n
     t = np.asarray(t, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if not np.all(np.isfinite(t) & (t >= 0)):
-        raise IntegratorError("t must be finite and non-negative")
+        raise DomainError("t must be finite and non-negative")
     if np.any(dt <= 0):
-        raise IntegratorError("dt must be positive")
+        raise DomainError("dt must be positive")
     full = np.floor(t / dt + 1e-9)
     n_steps = int(full.max())
-    if n_steps > max_steps:
-        raise IntegratorError(f"{n_steps} steps exceed the configured maximum {max_steps}")
+    if n_steps > MAX_STEPS:
+        raise DomainError(f"{n_steps} steps exceed the configured maximum {MAX_STEPS}")
     eye = np.eye(2, dtype=complex)
 
     def step(h):
@@ -73,18 +75,18 @@ def evolve_block_numeric(ground0, excited0, p, field: LightField, mass_kg: float
 
     Takes the arguments of :func:`lightwalk.dynamics.propagate` plus the
     fixed step ``dt`` and broadcasts the same way (``dt`` too), so the two
-    are interchangeable in every comparison. Raises :class:`IntegratorError`
+    are interchangeable in every comparison. Raises :class:`DomainError`
     when a step does not resolve the coupling or a block's effective Rabi
     frequency, and (from :func:`rk4_propagate`) when ``t`` is negative, not
-    finite, or needs more than its default maximum of steps.
+    finite, or needs more than ``MAX_STEPS`` steps.
     """
     dt = np.asarray(dt, dtype=float)
     rabi_step = field.rabi * dt
     if np.any(rabi_step > MAX_RABI_STEP * (1.0 + 1e-12)):
-        raise IntegratorError(f"rabi*dt = {np.max(rabi_step):.3g} exceeds {MAX_RABI_STEP}")
+        raise DomainError(f"rabi*dt = {np.max(rabi_step):.3g} exceeds {MAX_RABI_STEP}")
     split_step = effective_rabi(block_detuning(p, field, mass_kg), field.rabi) * dt
     if np.any(split_step > MAX_SPLIT_STEP * (1.0 + 1e-12)):
-        raise IntegratorError(
+        raise DomainError(
             f"effective_rabi*dt = {np.max(split_step):.3g} exceeds {MAX_SPLIT_STEP}"
         )
     y0 = np.stack(np.broadcast_arrays(ground0, excited0), axis=-1)

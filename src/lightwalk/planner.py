@@ -108,8 +108,8 @@ def pairwise_gap(
     The sub-wavelength intra-period wiggle is deliberately ignored; the
     coherent-dynamics module resolves it when needed.
     """
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and non-negative, got {t}")
     return abs(member_speed(a, amu) - member_speed(b, amu)) * t
 
 
@@ -119,8 +119,8 @@ def packet_width(spec: WavepacketSpec, mass_kg: float, t: float) -> float:
     sigma_x(t) = sqrt(sigma_x0^2 + (sigma_p t / M)^2) with
     sigma_p = momentum_width / sqrt(2) and sigma_x0 = hbar / (2 sigma_p).
     """
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and non-negative, got {t}")
     if not mass_kg > 0:
         raise DomainError(f"mass must be positive, got {mass_kg}")
     sigma_p = spec.momentum_width / math.sqrt(2.0)
@@ -185,8 +185,8 @@ def separation_report(
     """
     if len(mixture) < 2:
         raise DomainError("mixture needs at least 2 members")
-    if t < 0:
-        raise DomainError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and non-negative, got {t}")
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not momentum_width > 0:

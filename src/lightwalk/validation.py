@@ -31,7 +31,7 @@ from .dynamics import (
     propagate,
     simulate,
 )
-from .errors import CatalogParseError
+from .errors import CatalogError
 from .oracle import evolve_block_numeric
 from .planner import MixtureMember, pairwise_gap
 
@@ -325,7 +325,7 @@ def check_catalog_roundtrip() -> CheckResult:
         lines.insert(position, "Bad-1,not_a_number,label,500.0")
         try:
             parse_catalog("\n".join(lines) + "\n")
-        except CatalogParseError as exc:
+        except CatalogError as exc:
             if exc.line == position + 1:
                 bad_line_hits += 1
     passed = mismatches == 0 and bad_line_hits == trials

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from lightwalk import (
     CATALOG_HEADER,
     Catalog,
-    CatalogParseError,
-    CatalogValidationError,
+    CatalogError,
     Species,
     embedded_table1,
     load_catalog,
@@ -36,14 +35,14 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_missing_header_rejected():
-    with pytest.raises(CatalogParseError) as err:
+    with pytest.raises(CatalogError) as err:
         parse_catalog("A-1,1.0,label,500.0\n")
     assert err.value.line == 1
 
 
 def test_duplicate_name_reports_line():
     text = HEADER + "U-238,238.05,label,358.5\nU-238,238.05,label,358.5\n"
-    with pytest.raises(CatalogValidationError) as err:
+    with pytest.raises(CatalogError) as err:
         parse_catalog(text)
     assert err.value.line == 3
     assert "U-238" in str(err.value)
@@ -51,26 +50,26 @@ def test_duplicate_name_reports_line():
 
 def test_non_numeric_mass_reports_line_and_column():
     text = HEADER + "Li-7,abc,label,670.0\n"
-    with pytest.raises(CatalogParseError) as err:
+    with pytest.raises(CatalogError) as err:
         parse_catalog(text)
     assert err.value.line == 2
     assert err.value.column == 6  # mass field starts after "Li-7,"
 
 
 def test_wrong_field_count_rejected():
-    with pytest.raises(CatalogParseError) as err:
+    with pytest.raises(CatalogError) as err:
         parse_catalog(HEADER + "Li-7,7.0,670.0\n")
     assert err.value.line == 2
 
 
 @pytest.mark.parametrize("value", ["0", "-5.0", "inf", "nan"])
 def test_nonpositive_or_nonfinite_wavelength_rejected(value):
-    with pytest.raises(CatalogParseError):
+    with pytest.raises(CatalogError):
         parse_catalog(HEADER + f"A-1,1.0,label,{value}\n")
 
 
 def test_empty_name_rejected():
-    with pytest.raises(CatalogParseError) as err:
+    with pytest.raises(CatalogError) as err:
         parse_catalog(HEADER + " ,1.0,label,500.0\n")
     assert err.value.column == 1
 

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -54,13 +56,15 @@ def test_speeds_from_catalog_file(tmp_path):
     ["speeds", "separate --t 1e-4", "simulate --species A-1 --t-max 1e-6", "bands --species A-1"],
 )
 def test_catalog_mass_that_underflows_in_kg_exits_4(tmp_path, command):
-    # 1e-320 u is a positive catalog mass but 0 kg once converted
-    path = tmp_path / "tiny.csv"
-    path.write_text(
-        "name,mass_u,transition,wavelength_nm\nA-1,1e-320,x,500.0\nB-2,2.0,x,500.0\n",
-        encoding="utf-8",
-    )
-    assert run([*command.split(), "--catalog", str(path)]) == (EXIT_DOMAIN, "")
+    # 1e-320 u is a positive catalog mass but 0 kg once converted; 1e-290 u is a
+    # subnormal kg mass, whose inverse overflows in the separation planner
+    for mass_u in ("1e-320", "1e-290"):
+        path = tmp_path / f"tiny-{mass_u}.csv"
+        path.write_text(
+            f"name,mass_u,transition,wavelength_nm\nA-1,{mass_u},x,500.0\nB-2,2.0,x,500.0\n",
+            encoding="utf-8",
+        )
+        assert run([*command.split(), "--catalog", str(path)]) == (EXIT_DOMAIN, "")
 
 
 def test_missing_catalog_file_is_file_error(tmp_path):
@@ -183,6 +187,28 @@ def test_usage_errors_exit_2():
     assert run(["simulate", "--species", "Nope-1", "--t-max", "1e-6"])[0] == EXIT_USAGE
     assert run(["separate", "--pair", "Mg-24", "--t", "1e-6"])[0] == EXIT_USAGE
     assert run(["validate", "--only", "no-such-check"])[0] == EXIT_USAGE
+    # validate reads neither a catalog nor a constant set, so it takes neither flag
+    argv = ["validate", "--catalog", "/nonexistent", "--constants", "codata", "--only", "figure3-gaps"]
+    assert run(argv)[0] == EXIT_USAGE
+
+
+def test_every_raise_names_an_exit_code_class():
+    # every exception the package raises maps to one documented exit code:
+    # UsageError and KeyError 2, CatalogError 3, DomainError 4
+    allowed = {"DomainError", "CatalogError", "UsageError", "KeyError"}
+    offenders = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "lightwalk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the script guard's SystemExit carries main's exit code; it is not an error
+        tree.body = [stmt for stmt in tree.body if not (
+            isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+        )]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} raises {ast.unparse(exc)}")
+    assert offenders == []
 
 
 def test_domain_errors_exit_4():

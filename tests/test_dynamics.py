@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lightwalk import (
     HBAR,
     DomainError,
-    GridCoverageError,
     LightField,
     MomentumGrid,
     WavepacketSpec,
@@ -364,7 +363,7 @@ def test_init_gaussian_moments():
 def test_init_gaussian_coverage_error():
     spec = packet()
     narrow = MomentumGrid.for_packet(spec, half_span=3.0, n_points=256)
-    with pytest.raises(GridCoverageError):
+    with pytest.raises(DomainError):
         init_gaussian(spec, narrow)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from lightwalk import (
     HBAR,
-    IntegratorError,
+    DomainError,
     LightField,
     block_detuning,
     block_hamiltonian,
@@ -31,26 +31,26 @@ def field_with_shift(shift, rabi=1.0e6):
 
 def test_non_positive_dt_rejected():
     field = field_with_shift(0.0)
-    with pytest.raises(IntegratorError):
+    with pytest.raises(DomainError):
         evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, 0.0)
 
 
 def test_step_bounds_enforced_at_entry():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    with pytest.raises(IntegratorError):
+    with pytest.raises(DomainError):
         evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, 0.02 / rabi)
     # rabi*dt fine but the effective splitting is too fast for the step
     stiff = field_with_shift(5 * rabi, rabi)
-    with pytest.raises(IntegratorError):
+    with pytest.raises(DomainError):
         evolve_block_numeric(1.0, 0.0, 0.0, stiff, MASS, 1e-6, 0.009 / rabi)
 
 
 def test_max_steps_overflow():
     rabi = 1e6
     field = field_with_shift(0.0, rabi)
-    # 5e8 steps of 2 ns, far over rk4_propagate's default cap of 5e6
-    with pytest.raises(IntegratorError):
+    # 5e8 steps of 2 ns, far over MAX_STEPS = 5e6
+    with pytest.raises(DomainError):
         evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1.0, 0.002 / rabi)
 
 
@@ -188,19 +188,17 @@ def test_polynomial_form_is_stepwise_rk4():
 def test_propagate_step_cap_raises_before_work():
     matrix = block_hamiltonian(0.0, field_with_shift(0.0), MASS)
     y0 = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(IntegratorError):
-        rk4_propagate(matrix, y0, 1e-6, 1e-9, max_steps=10)
-    with pytest.raises(IntegratorError):
-        rk4_propagate(matrix, y0, 1e6, 1e-9)  # 1e15 steps, far over the default cap
+    with pytest.raises(DomainError):
+        rk4_propagate(matrix, y0, 1e6, 1e-9)  # 1e15 steps, far over MAX_STEPS
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-9])
 def test_rk4_propagate_rejects_non_finite_or_negative_time(t):
     matrix = block_hamiltonian(0.0, field_with_shift(0.0), MASS)
     y0 = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(IntegratorError):
+    with pytest.raises(DomainError):
         rk4_propagate(matrix, y0, t, 1e-9)
-    with pytest.raises(IntegratorError):
+    with pytest.raises(DomainError):
         rk4_propagate(np.stack([matrix, matrix]), np.stack([y0, y0]), np.array([1e-6, t]), 1e-9)
 
 

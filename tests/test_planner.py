@@ -9,15 +9,19 @@ from lightwalk import (
     HBAR,
     Catalog,
     DomainError,
+    LightField,
     MixtureMember,
     Species,
     WavepacketSpec,
+    closed_form_displacement,
+    closed_form_velocity,
     embedded_table1,
     mass_to_si,
     member_speed,
     packet_width,
     pairwise_gap,
     parse_catalog,
+    propagate,
     separation_report,
     speed_ladder,
     speed_table,
@@ -146,6 +150,27 @@ def test_separation_report_identical_species():
     assert pair.gap == 0.0
     assert not pair.resolvable
     assert pair.time_required is None
+
+
+_SPEC = WavepacketSpec(center_momentum=0.0, momentum_width=1e-28)
+_FIELD = LightField(780e-9, rabi=1e6, detuning=0.0, direction=1)
+_MASS = mass_to_si(CATALOG.get("Rb-87").mass_u)
+_TIMED_CALLS = {
+    "pairwise_gap": lambda t: pairwise_gap(member("Li-7"), member("C-12"), t),
+    "packet_width": lambda t: packet_width(_SPEC, _MASS, t),
+    "separation_report": lambda t: separation_report([member("Li-7"), member("C-12")], t),
+    "closed_form_displacement": lambda t: closed_form_displacement(t, _SPEC, _FIELD, _MASS),
+    "closed_form_velocity": lambda t: closed_form_velocity(t, _SPEC, _FIELD, _MASS),
+    "propagate": lambda t: propagate(1.0, 0.0, 0.0, _FIELD, _MASS, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_TIMED_CALLS))
+def test_time_must_be_finite(name, t):
+    # each returned nan (or raised a bare ValueError) instead of refusing the time
+    with pytest.raises(DomainError):
+        _TIMED_CALLS[name](t)
 
 
 def test_separation_report_validation():
