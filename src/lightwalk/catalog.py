@@ -18,7 +18,7 @@ U-238) is embedded below and served by :func:`embedded_table1`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -39,22 +39,25 @@ class Species:
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise DomainError("species name must be nonempty")
-        if not self.mass_u > 0:
-            raise DomainError(f"mass must be positive, got {self.mass_u}")
-        if not self.wavelength_nm > 0:
-            raise DomainError(f"wavelength must be positive, got {self.wavelength_nm}")
+        if not 0 < self.mass_u < math.inf:
+            raise DomainError(f"mass must be finite and positive, got {self.mass_u}")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise DomainError(f"wavelength must be finite and positive, got {self.wavelength_nm}")
 
 
 @dataclass(frozen=True)
 class Catalog:
     entries: tuple[Species, ...]
     source_tag: str
+    _by_name: dict[str, Species] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [sp.name for sp in self.entries]
-        if len(set(names)) != len(names):
+        by_name = {sp.name: sp for sp in self.entries}
+        if len(by_name) != len(self.entries):
+            names = [sp.name for sp in self.entries]
             duplicate = next(n for i, n in enumerate(names) if n in names[:i])
             raise CatalogError(f"duplicate species name {duplicate!r}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -63,10 +66,10 @@ class Catalog:
         return iter(self.entries)
 
     def get(self, name: str) -> Species:
-        for sp in self.entries:
-            if sp.name == name:
-                return sp
-        raise KeyError(f"no species named {name!r} in catalog {self.source_tag!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no species named {name!r} in catalog {self.source_tag!r}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(sp.name for sp in self.entries)
@@ -82,6 +85,20 @@ def _parse_number(token: str, what: str, line_no: int, column: int) -> float:
     if not value > 0:
         raise CatalogError(f"{what} must be positive, got {token!r}", line_no, column)
     return value
+
+
+def _refuse_row(fields: list[str], line_no: int) -> None:
+    """Raise the :class:`CatalogError` that locates the fault in a refused row."""
+    if len(fields) != 4:
+        raise CatalogError(f"expected 4 comma-separated fields, got {len(fields)}", line_no, 1)
+    # 1-based start column of each field in the raw line
+    columns = [1]
+    for f in fields[:-1]:
+        columns.append(columns[-1] + len(f) + 1)
+    if not fields[0].strip():
+        raise CatalogError("species name is empty", line_no, columns[0])
+    _parse_number(fields[1].strip(), "mass_u", line_no, columns[1])
+    _parse_number(fields[3].strip(), "wavelength_nm", line_no, columns[3])
 
 
 def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
@@ -105,29 +122,23 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
             header_seen = True
             continue
         fields = raw.split(",")
-        if len(fields) != 4:
-            raise CatalogError(
-                f"expected 4 comma-separated fields, got {len(fields)}", line_no, 1
-            )
-        # 1-based start column of each field in the raw line
-        columns = [1]
-        for f in fields[:-1]:
-            columns.append(columns[-1] + len(f) + 1)
-        name = fields[0].strip()
-        if not name:
-            raise CatalogError("species name is empty", line_no, columns[0])
-        mass_u = _parse_number(fields[1].strip(), "mass_u", line_no, columns[1])
-        transition = fields[2].strip()
-        wavelength_nm = _parse_number(
-            fields[3].strip(), "wavelength_nm", line_no, columns[3]
-        )
+        try:
+            name, mass, transition, wavelength = fields
+            # float() ignores the same surrounding whitespace that str.strip() removes
+            mass_u, wavelength_nm = float(mass), float(wavelength)
+            name = name.strip()
+        except ValueError:
+            name = ""  # a wrong field count or a non-number: refused below
+        # the chained comparisons are False for NaN, so they refuse every non-finite value
+        if not (name and 0 < mass_u < math.inf and 0 < wavelength_nm < math.inf):
+            _refuse_row(fields, line_no)
         if name in seen:
             raise CatalogError(
                 f"duplicate species name {name!r} (first defined on line {seen[name]})",
                 line_no,
             )
         seen[name] = line_no
-        entries.append(Species(name, mass_u, transition, wavelength_nm))
+        entries.append(Species(name, mass_u, transition.strip(), wavelength_nm))
     if not header_seen:
         raise CatalogError(f"missing header {CATALOG_HEADER!r}", 1, 1)
     return Catalog(entries=tuple(entries), source_tag=source_tag)

@@ -9,6 +9,7 @@ byte-identical output. Exit codes: 0 ok, 1 validation failure, 2 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -48,7 +49,9 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lightwalk",
         description="Coherent-walking simulator and optical purification planner.",

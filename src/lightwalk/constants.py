@@ -26,21 +26,22 @@ CONSTANT_SETS = {"paper": U_ROUNDED, "codata": U_CODATA}
 
 
 def mass_to_si(mass_u: float, amu: float = U_ROUNDED) -> float:
-    """Convert a mass in atomic mass units to kg; the result must be a normal float.
+    """Convert a mass in atomic mass units to kg; the result must be a finite normal float.
 
     A subnormal kg mass carries a large relative rounding error and its
     inverse overflows, so it is refused like zero.
     """
     mass_kg = mass_u * amu
-    if not (mass_u > 0 and mass_kg >= sys.float_info.min):
+    if not (mass_u > 0 and sys.float_info.min <= mass_kg < math.inf):
         raise DomainError(
-            f"mass must be at least {sys.float_info.min:g} kg, got {mass_u} u at {amu} kg/u"
+            f"mass must be finite and at least {sys.float_info.min:g} kg, "
+            f"got {mass_u} u at {amu} kg/u"
         )
     return mass_kg
 
 
 def wavenumber(wavelength_m: float) -> float:
     """Angular wavenumber k = 2 pi / wavelength, in rad/m."""
-    if not wavelength_m > 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_m}")
+    if not 0 < wavelength_m < math.inf:
+        raise DomainError(f"wavelength must be finite and positive, got {wavelength_m}")
     return 2.0 * math.pi / wavelength_m

@@ -51,8 +51,8 @@ class LightField:
     direction: int = 1
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise DomainError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0 < self.wavelength < math.inf:
+            raise DomainError(f"wavelength must be finite and positive, got {self.wavelength}")
         if not (math.isfinite(self.rabi) and self.rabi >= 0):
             raise DomainError(f"rabi must be finite and non-negative, got {self.rabi}")
         if not math.isfinite(self.detuning):

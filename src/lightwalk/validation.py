@@ -9,14 +9,15 @@ itself never stores speeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .catalog import embedded_table1, parse_catalog, serialize_catalog
+from .catalog import CATALOG_HEADER, embedded_table1, parse_catalog, serialize_catalog
 from .constants import HBAR, mass_to_si, wavenumber
 from .dynamics import (
     LightField,
@@ -296,32 +297,55 @@ def check_resonant_rabi() -> CheckResult:
     return CheckResult("resonant-rabi", passed, detail)
 
 
-def _random_catalog_text(rng: np.random.Generator) -> str:
-    lines = ["name,mass_u,transition,wavelength_nm"]
-    n = int(rng.integers(0, 12))
-    for i in range(n):
-        mass = float(rng.uniform(1.0, 300.0))
-        wavelength = float(rng.uniform(100.0, 2000.0))
-        label = f"{int(rng.integers(1, 8))}s {int(rng.integers(1, 4))}S1/2"
-        lines.append(f"Sp{i}-{int(rng.integers(1, 300))},{mass!r},{label},{wavelength!r}")
-    return "\n".join(lines) + "\n"
+def _random_catalogs(rng: np.random.Generator, count: int) -> tuple[np.ndarray, Iterator[str]]:
+    """Row counts (0 to 11) and texts of ``count`` random catalogs.
+
+    Each field is one draw over the rows of all catalogs, in this order:
+    row counts, masses U(1, 300) u, wavelengths U(100, 2000) nm, the two
+    integers of the transition label and the integer of the name. A text
+    is built from its slice of the draws only when the iterator reaches it.
+    """
+    rows = rng.integers(0, 12, size=count)
+    total = int(rows.sum())
+    columns = (
+        rng.uniform(1.0, 300.0, total),
+        rng.uniform(100.0, 2000.0, total),
+        rng.integers(1, 8, total),
+        rng.integers(1, 4, total),
+        rng.integers(1, 300, total),
+    )
+    stops = np.cumsum(rows).tolist()
+
+    def texts() -> Iterator[str]:
+        start = 0
+        for stop in stops:
+            lines = [CATALOG_HEADER]
+            for i, (mass, wavelength, shell, term, suffix) in enumerate(
+                zip(*(column[start:stop].tolist() for column in columns))
+            ):
+                lines.append(f"Sp{i}-{suffix},{mass!r},{shell}s {term}S1/2,{wavelength!r}")
+            yield "\n".join(lines) + "\n"
+            start = stop
+
+    return rows, texts()
 
 
 def check_catalog_roundtrip() -> CheckResult:
     """serialize/parse is the identity; bad lines are located by line number."""
+    roundtrips, trials = 1000, 50
     rng = np.random.default_rng(7)
+    rows, texts = _random_catalogs(rng, roundtrips + trials)
+    # a bad line goes anywhere after the header: position p makes it line p + 1
+    positions = rng.integers(1, rows[roundtrips:] + 2).tolist()
     mismatches = 0
-    for _ in range(1000):
-        catalog = parse_catalog(_random_catalog_text(rng))
+    for text in itertools.islice(texts, roundtrips):
+        catalog = parse_catalog(text)
         if parse_catalog(serialize_catalog(catalog)).entries != catalog.entries:
             mismatches += 1
 
     bad_line_hits = 0
-    trials = 50
-    for _ in range(trials):
-        text = _random_catalog_text(rng)
+    for text, position in zip(texts, positions):
         lines = text.splitlines()
-        position = int(rng.integers(1, len(lines) + 1))
         lines.insert(position, "Bad-1,not_a_number,label,500.0")
         try:
             parse_catalog("\n".join(lines) + "\n")
@@ -330,7 +354,7 @@ def check_catalog_roundtrip() -> CheckResult:
                 bad_line_hits += 1
     passed = mismatches == 0 and bad_line_hits == trials
     detail = (
-        f"1000 randomized catalogs round-trip field-exactly ({mismatches} "
+        f"{roundtrips} randomized catalogs round-trip field-exactly ({mismatches} "
         f"mismatches); {bad_line_hits}/{trials} malformed lines rejected with "
         f"the correct line number"
     )

@@ -12,12 +12,14 @@ the Eu-153 row.
 
 import re
 
+import numpy as np
 import pytest
 
 from lightwalk import validation
-from lightwalk.catalog import embedded_table1
+from lightwalk.catalog import CATALOG_HEADER, embedded_table1
 from lightwalk.constants import H_PLANCK, U_ROUNDED
 from lightwalk.dynamics import average_speed
+from lightwalk.errors import CatalogError
 
 _CHECKS = dict(validation.ALL_CHECKS)
 _RESULTS: dict[str, validation.CheckResult] = {}
@@ -127,3 +129,51 @@ def test_validate_command_prints_one_line_per_check():
     assert lines[0].startswith("PASS figure3-gaps:")
     assert lines[1].startswith("PASS resonant-rabi:")
     assert lines[2] == "passed 2/2 checks"
+
+
+def test_catalog_roundtrip_fails_on_a_lossy_serializer(monkeypatch):
+    def lossy(catalog):
+        rows = [f"{sp.name},{sp.mass_u:.15g},{sp.transition},{sp.wavelength_nm:.15g}"
+                for sp in catalog]
+        return "\n".join([CATALOG_HEADER, *rows]) + "\n"
+
+    monkeypatch.setattr(validation, "serialize_catalog", lossy)
+    result = validation.check_catalog_roundtrip()
+    assert result.passed is False
+    mismatches = int(re.search(r"\((\d+) mismatches\)", result.detail).group(1))
+    assert mismatches > 0
+
+
+def test_catalog_roundtrip_fails_on_a_misplaced_line_number(monkeypatch):
+    parse = validation.parse_catalog
+
+    def off_by_one(text):
+        try:
+            return parse(text)
+        except CatalogError as exc:
+            exc.line += 1
+            raise
+
+    monkeypatch.setattr(validation, "parse_catalog", off_by_one)
+    result = validation.check_catalog_roundtrip()
+    assert result.passed is False
+    assert "(0 mismatches); 0/50 malformed lines" in result.detail
+
+
+def test_catalog_roundtrip_draws():
+    count = 1050  # the check's 1,000 round-trips and 50 malformed-line trials
+    rows, texts = validation._random_catalogs(np.random.default_rng(7), count)
+    texts = list(texts)
+    assert len(rows) == len(texts) == count
+    row_pattern = re.compile(r"Sp(\d+)-(\d+),([^,]+),([1-7])s ([1-3])S1/2,([^,]+)")
+    for n, text in zip(rows, texts):
+        assert 0 <= n <= 11
+        assert len(validation.parse_catalog(text)) == n
+        lines = text.splitlines()
+        assert lines[0] == CATALOG_HEADER and len(lines) == n + 1
+        for i, line in enumerate(lines[1:]):
+            index, suffix, mass, _, _, wavelength = row_pattern.fullmatch(line).groups()
+            assert int(index) == i and 1 <= int(suffix) < 300
+            assert 1.0 <= float(mass) < 300.0 and 100.0 <= float(wavelength) < 2000.0
+    _, again = validation._random_catalogs(np.random.default_rng(7), count)
+    assert list(again) == texts

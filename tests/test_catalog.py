@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from lightwalk import (
     CATALOG_HEADER,
     Catalog,
     CatalogError,
+    DomainError,
     Species,
     embedded_table1,
     load_catalog,
@@ -102,6 +105,32 @@ def test_serialize_empty_catalog():
 def test_unknown_name_lookup():
     with pytest.raises(KeyError):
         embedded_table1().get("Xx-999")
+
+
+@pytest.mark.parametrize(
+    "mass_u, wavelength_nm", [(math.inf, 500.0), (1.0, math.inf), (math.nan, 500.0)]
+)
+def test_species_refuses_a_non_finite_mass_or_wavelength(mass_u, wavelength_nm):
+    # an infinite mass would give average_speed exactly 0 m/s
+    with pytest.raises(DomainError):
+        Species("A-1", mass_u, "x", wavelength_nm)
+
+
+def test_get_finds_every_name_of_a_large_catalog():
+    entries = tuple(Species(f"Sp{i}-{i % 299 + 1}", 1.0 + i, "x", 500.0) for i in range(3000))
+    catalog = Catalog(entries, source_tag="large")
+    assert all(catalog.get(sp.name) is sp for sp in entries)
+    with pytest.raises(KeyError) as err:
+        catalog.get("Sp3000-1")
+    assert str(err.value) == "\"no species named 'Sp3000-1' in catalog 'large'\""
+
+
+def test_duplicate_entries_rejected_by_name():
+    twice = Species("A-1", 1.0, "x", 500.0)
+    with pytest.raises(CatalogError) as err:
+        Catalog((twice, Species("B-2", 2.0, "x", 500.0), twice), source_tag="x")
+    assert str(err.value) == "duplicate species name 'A-1'"
+    assert err.value.line is None
 
 
 def test_load_catalog_from_file(tmp_path):

@@ -300,6 +300,26 @@ def test_validate_single_check():
     assert out.strip().endswith("passed 1/1 checks")
 
 
+def test_the_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # build_parser builds one parser per process; every run must start clean
+    for _ in range(2):
+        code, out = run(["validate", "--only", "figure3-gaps"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("PASS figure3-gaps:")
+        assert lines[1] == "passed 1/1 checks"
+
+    fresh = run(["speeds"])
+    assert run(["speeds", "--no-such-flag"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("usage: lightwalk")
+    assert run(["speeds"]) == fresh
+
+    target = tmp_path / "speeds.csv"
+    assert run(["speeds", "--output", str(target)]) == (EXIT_OK, "")
+    assert target.read_text(encoding="utf-8") == fresh[1]
+    assert run(["speeds"]) == fresh
+
+
 def test_main_writes_stdout(capsys):
     assert main(["speeds"]) == EXIT_OK
     captured = capsys.readouterr()

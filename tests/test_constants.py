@@ -53,6 +53,18 @@ def test_mass_to_si_rejects_a_non_positive_product(mass_u, amu):
         mass_to_si(mass_u, amu=amu)
 
 
+@pytest.mark.parametrize("mass_u, amu", [(math.inf, U_ROUNDED), (1e300, 1e10)])
+def test_mass_to_si_refuses_an_infinite_kg_mass(mass_u, amu):
+    # an infinite mass would give a drift speed of exactly 0 m/s
+    with pytest.raises(DomainError):
+        mass_to_si(mass_u, amu=amu)
+
+
+def test_wavenumber_refuses_an_infinite_wavelength():
+    with pytest.raises(DomainError):
+        wavenumber(math.inf)
+
+
 def test_wavenumber_values():
     assert wavenumber(2 * math.pi) == pytest.approx(1.0, rel=1e-15)
     assert wavenumber(780.027e-9) == pytest.approx(8.0550869e6, rel=1e-7)

@@ -67,6 +67,13 @@ def test_light_field_validation():
         LightField(780e-9, 2e6)  # everything but the wavelength is keyword-only
 
 
+@pytest.mark.parametrize("wavelength", [math.inf, math.nan])
+def test_light_field_refuses_a_non_finite_wavelength(wavelength):
+    # an infinite wavelength would give a wavenumber of exactly 0 rad/m
+    with pytest.raises(DomainError):
+        LightField(wavelength, rabi=1e6, detuning=0.0, direction=1)
+
+
 def test_wavepacket_spec_validation():
     with pytest.raises(DomainError):
         WavepacketSpec(center_momentum=0.0, momentum_width=0.0)
