@@ -17,6 +17,7 @@ U-238) is embedded below and served by :func:`embedded_table1`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,9 +93,7 @@ def _refuse_row(fields: list[str], line_no: int) -> None:
     if len(fields) != 4:
         raise CatalogError(f"expected 4 comma-separated fields, got {len(fields)}", line_no, 1)
     # 1-based start column of each field in the raw line
-    columns = [1]
-    for f in fields[:-1]:
-        columns.append(columns[-1] + len(f) + 1)
+    columns = list(itertools.accumulate((len(f) + 1 for f in fields[:-1]), initial=1))
     if not fields[0].strip():
         raise CatalogError("species name is empty", line_no, columns[0])
     _parse_number(fields[1].strip(), "mass_u", line_no, columns[1])
@@ -124,13 +123,10 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
         fields = raw.split(",")
         try:
             name, mass, transition, wavelength = fields
-            # float() ignores the same surrounding whitespace that str.strip() removes
-            mass_u, wavelength_nm = float(mass), float(wavelength)
             name = name.strip()
-        except ValueError:
-            name = ""  # a wrong field count or a non-number: refused below
-        # the chained comparisons are False for NaN, so they refuse every non-finite value
-        if not (name and 0 < mass_u < math.inf and 0 < wavelength_nm < math.inf):
+            # float() ignores the same surrounding whitespace that str.strip() removes
+            species = Species(name, float(mass), transition.strip(), float(wavelength))
+        except ValueError:  # a wrong field count, a non-number, or a row Species refuses
             _refuse_row(fields, line_no)
         if name in seen:
             raise CatalogError(
@@ -138,7 +134,7 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
                 line_no,
             )
         seen[name] = line_no
-        entries.append(Species(name, mass_u, transition.strip(), wavelength_nm))
+        entries.append(species)
     if not header_seen:
         raise CatalogError(f"missing header {CATALOG_HEADER!r}", 1, 1)
     return Catalog(entries=tuple(entries), source_tag=source_tag)

@@ -26,7 +26,7 @@ from .dynamics import (
     band_structure,
     simulate,
 )
-from .errors import CatalogError, DomainError
+from .errors import CatalogError, DomainError, check_fraction
 from .planner import MixtureMember, separation_report, speed_table
 
 EXIT_OK = 0
@@ -153,7 +153,8 @@ def _cmd_speeds(args: argparse.Namespace) -> str:
     return _csv("name,mass_u,wavelength_nm,vbar_mps", rows)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _species_field(args: argparse.Namespace) -> tuple[float, LightField, float]:
+    """The mass in kg of ``--species``, the light field its transition sees, and |hbar k|."""
     catalog, amu = _load(args)
     species = _species(catalog, args.species)
     mass_kg = mass_to_si(species.mass_u, amu)
@@ -161,9 +162,12 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         species.wavelength_nm * 1e-9, rabi=args.omega, detuning=args.delta,
         direction=args.direction,
     )
-    recoil = abs(field.recoil_momentum)
-    if not 0.0 <= args.c0sq <= 1.0:
-        raise DomainError(f"c0sq must lie in [0, 1], got {args.c0sq}")
+    return mass_kg, field, abs(field.recoil_momentum)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    mass_kg, field, recoil = _species_field(args)
+    check_fraction(args.c0sq)
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise DomainError(f"t-max must be finite and positive, got {args.t_max}")
     spec = WavepacketSpec(
@@ -196,14 +200,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _cmd_bands(args: argparse.Namespace) -> str:
-    catalog, amu = _load(args)
-    species = _species(catalog, args.species)
-    mass_kg = mass_to_si(species.mass_u, amu)
-    field = LightField(
-        species.wavelength_nm * 1e-9, rabi=args.omega, detuning=args.delta,
-        direction=args.direction,
-    )
-    recoil = abs(field.recoil_momentum)
+    mass_kg, field, recoil = _species_field(args)
     grid = MomentumGrid(args.p_min_hbark * recoil, args.p_max_hbark * recoil, args.points)
     bands = band_structure(grid, field, mass_kg)
     return _table(

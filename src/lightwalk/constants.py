@@ -12,9 +12,8 @@ Planck's constant is the exact SI value in both.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import DomainError
+from .errors import DomainError, check_mass_kg
 
 H_PLANCK = 6.62607015e-34  # J s, exact in SI
 HBAR = H_PLANCK / (2.0 * math.pi)
@@ -26,18 +25,10 @@ CONSTANT_SETS = {"paper": U_ROUNDED, "codata": U_CODATA}
 
 
 def mass_to_si(mass_u: float, amu: float = U_ROUNDED) -> float:
-    """Convert a mass in atomic mass units to kg; the result must be a finite normal float.
-
-    A subnormal kg mass carries a large relative rounding error and its
-    inverse overflows, so it is refused like zero.
-    """
-    mass_kg = mass_u * amu
-    if not (mass_u > 0 and sys.float_info.min <= mass_kg < math.inf):
-        raise DomainError(
-            f"mass must be finite and at least {sys.float_info.min:g} kg, "
-            f"got {mass_u} u at {amu} kg/u"
-        )
-    return mass_kg
+    """Convert a mass in atomic mass units to kg, refusing what :func:`check_mass_kg` refuses."""
+    if not mass_u > 0:  # a negative mass in a negative unit is no mass either
+        raise DomainError(f"mass must be positive, got {mass_u} u")
+    return check_mass_kg(mass_u * amu)
 
 
 def wavenumber(wavelength_m: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import Species
 from .constants import HBAR, U_ROUNDED, mass_to_si, wavenumber
-from .errors import DomainError
+from .errors import DomainError, check_fraction, check_mass_kg, check_time
 
 _NORM_TOL = 1e-12
 # simulate refuses runs whose largest phase S t_max carries a rounding error
@@ -51,8 +51,7 @@ class LightField:
     direction: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.wavelength < math.inf:
-            raise DomainError(f"wavelength must be finite and positive, got {self.wavelength}")
+        wavenumber(self.wavelength)
         if not (math.isfinite(self.rabi) and self.rabi >= 0):
             raise DomainError(f"rabi must be finite and non-negative, got {self.rabi}")
         if not math.isfinite(self.detuning):
@@ -92,12 +91,15 @@ class WavepacketSpec:
     initial_position: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.momentum_width > 0:
-            raise DomainError(f"momentum width must be positive, got {self.momentum_width}")
+        # chained comparisons, not calls (planner builds a spec per bisection step); NaN fails each
+        if not -math.inf < self.center_momentum < math.inf:
+            raise DomainError(f"center momentum is not finite: {self.center_momentum}")
+        if not 0.0 < self.momentum_width < math.inf:
+            raise DomainError(f"momentum width is not finite and positive: {self.momentum_width}")
         if not math.isfinite(self.initial_position):
             raise DomainError(f"initial position must be finite, got {self.initial_position}")
         total = abs(self.ground_amp) ** 2 + abs(self.excited_amp) ** 2
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise DomainError(f"internal amplitudes must be normalized, got norm {total}")
 
     @property
@@ -117,6 +119,8 @@ class MomentumGrid:
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise DomainError("grid needs at least 2 points")
+        if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
+            raise DomainError(f"grid bounds are not finite: [{self.p_min}, {self.p_max}]")
         if not self.p_max > self.p_min:
             raise DomainError("p_max must exceed p_min")
 
@@ -150,9 +154,7 @@ class Trajectory:
 
 def kinetic_frequency(p, mass_kg: float):
     """Free kinetic phase rate p^2 / (2 M hbar) in rad/s."""
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
-    return p * p / (2.0 * mass_kg * HBAR)
+    return p * p / (2.0 * check_mass_kg(mass_kg) * HBAR)
 
 
 def block_detuning(p, field: LightField, mass_kg: float):
@@ -161,8 +163,7 @@ def block_detuning(p, field: LightField, mass_kg: float):
     Equals detuning + p*k/M + hbar*k^2/(2M), i.e. the splitting of the
     block's two bare frequencies. Accepts scalar or array p.
     """
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
+    check_mass_kg(mass_kg)
     k = field.wavenumber
     return field.detuning + p * k / mass_kg + HBAR * k * k / (2.0 * mass_kg)
 
@@ -216,10 +217,7 @@ def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):
     that pure common phase (both bare frequencies coincide there), which is
     the limit the safe divisions below implement.
     """
-    t = np.asarray(t, dtype=float)
-    bad = ~((0.0 <= t) & (t < math.inf))
-    if bad.any():
-        raise DomainError(f"time must be finite and non-negative, got {t[bad].flat[0]}")
+    t = check_time(t)
     shift = block_detuning(p, field, mass_kg)
     split = effective_rabi(shift, field.rabi)
     trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
@@ -382,15 +380,12 @@ def closed_form_displacement(
 
     Valid when the coupling dominates every block shift on the packet.
     """
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be finite and non-negative, got {t}")
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
+    check_time(t)
     rabi = field.rabi
     if rabi <= 0:
         raise DomainError("closed-form displacement needs a positive coupling "
                           "(use free flight for an uncoupled atom)")
-    drift = spec.population_difference * field.recoil_momentum / (2.0 * mass_kg)
+    drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
     return (
         spec.initial_position
         + spec.center_momentum * t / mass_kg
@@ -402,11 +397,8 @@ def closed_form_velocity(
     t: float, spec: WavepacketSpec, field: LightField, mass_kg: float
 ) -> float:
     """Strong-coupling mean velocity, periodic with the Rabi period."""
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be finite and non-negative, got {t}")
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
-    drift = spec.population_difference * field.recoil_momentum / (2.0 * mass_kg)
+    check_time(t)
+    drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
     return spec.center_momentum / mass_kg + drift * (1.0 - math.cos(field.rabi * t))
 
 
@@ -422,8 +414,7 @@ def average_speed(
     v = pc / M + (n0 - n1) hbar k / (2 M) with n0 = ``ground_fraction`` and
     n1 = 1 - n0; for a ground-state atom at rest this is h / (2 M wavelength).
     """
-    if not 0.0 <= ground_fraction <= 1.0:
-        raise DomainError(f"ground fraction must lie in [0, 1], got {ground_fraction}")
+    check_fraction(ground_fraction)
     mass_kg = mass_to_si(species.mass_u, amu)
     k = wavenumber(species.wavelength_nm * 1e-9)
     return (

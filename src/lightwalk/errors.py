@@ -1,4 +1,11 @@
-"""The package's two exception types, one per CLI exit code (4 and 3)."""
+"""The two exception types, one per CLI exit code (4 and 3), and the domain rules behind them."""
+
+import math
+import sys
+
+import numpy as np
+
+MIN_MASS_KG = sys.float_info.min
 
 
 class DomainError(ValueError):
@@ -20,3 +27,28 @@ class CatalogError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def check_time(t):
+    """Return a time finite and >= 0 everywhere: a float as is (fast path), else a float array."""
+    if isinstance(t, float) and 0.0 <= t < math.inf:
+        return t
+    times = np.asarray(t, dtype=float)
+    bad = ~((0.0 <= times) & (times < math.inf))
+    if bad.any():
+        raise DomainError(f"time must be finite and non-negative, got {times[bad].flat[0]}")
+    return times
+
+
+def check_mass_kg(mass_kg: float) -> float:
+    """Return a mass in kg that is a finite positive normal float, so that 1/M is finite."""
+    if not MIN_MASS_KG <= mass_kg < math.inf:
+        raise DomainError(f"mass must be finite and at least {MIN_MASS_KG:g} kg, got {mass_kg} kg")
+    return mass_kg
+
+
+def check_fraction(ground_fraction: float) -> float:
+    """Return a ground-state fraction that lies in [0, 1]."""
+    if not 0.0 <= ground_fraction <= 1.0:
+        raise DomainError(f"ground fraction must lie in [0, 1], got {ground_fraction}")
+    return ground_fraction

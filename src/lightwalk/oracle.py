@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import LightField, block_detuning, effective_rabi, kinetic_frequency
-from .errors import DomainError
+from .errors import DomainError, check_time
 
 # resolution bounds for the fastest time scales present in a block
 MAX_RABI_STEP = 0.01  # rabi * dt
@@ -34,8 +34,8 @@ def rk4_propagate(matrix, amplitudes, t, dt) -> np.ndarray:
 
     Shapes broadcast: ``matrix`` is (..., 2, 2), ``amplitudes`` (..., 2),
     and ``t``/``dt`` scalars or (...)-shaped, so a batch of independent
-    blocks integrates in lockstep. ``t`` must be finite and non-negative
-    and need at most ``MAX_STEPS`` full steps.
+    blocks integrates in lockstep. ``t`` must be finite and non-negative,
+    ``dt`` finite and positive, and ``t`` need at most ``MAX_STEPS`` full steps.
     The final partial step is shortened so each end time is hit exactly.
     For a constant matrix one RK4 step of size h is exactly
     ``y <- R(h A) y`` with ``A = -i matrix`` and the stability polynomial
@@ -44,12 +44,10 @@ def rk4_propagate(matrix, amplitudes, t, dt) -> np.ndarray:
     followed by one remainder step.
     """
     rhs = -1j * np.asarray(matrix, dtype=complex)
-    t = np.asarray(t, dtype=float)
+    t = check_time(t)
     dt = np.asarray(dt, dtype=float)
-    if not np.all(np.isfinite(t) & (t >= 0)):
-        raise DomainError("t must be finite and non-negative")
-    if np.any(dt <= 0):
-        raise DomainError("dt must be positive")
+    if not np.all((0.0 < dt) & (dt < np.inf)):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
     full = np.floor(t / dt + 1e-9)
     n_steps = int(full.max())
     if n_steps > MAX_STEPS:
@@ -77,8 +75,8 @@ def evolve_block_numeric(ground0, excited0, p, field: LightField, mass_kg: float
     fixed step ``dt`` and broadcasts the same way (``dt`` too), so the two
     are interchangeable in every comparison. Raises :class:`DomainError`
     when a step does not resolve the coupling or a block's effective Rabi
-    frequency, and (from :func:`rk4_propagate`) when ``t`` is negative, not
-    finite, or needs more than ``MAX_STEPS`` steps.
+    frequency, and (from :func:`rk4_propagate`) when ``t`` or ``dt`` is out of
+    its domain or ``t`` needs more than ``MAX_STEPS`` steps.
     """
     dt = np.asarray(dt, dtype=float)
     rabi_step = field.rabi * dt

@@ -17,7 +17,7 @@ from typing import Sequence
 from .catalog import Catalog, Species
 from .constants import HBAR, U_ROUNDED, mass_to_si
 from .dynamics import WavepacketSpec, average_speed
-from .errors import DomainError
+from .errors import MIN_MASS_KG, DomainError, check_fraction, check_time
 
 # Atomic-number ranges of the speed-ladder groups, lightest to heaviest.
 LADDER_GROUPS: tuple[tuple[str, int, int], ...] = (
@@ -57,8 +57,7 @@ class MixtureMember:
     center_momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ground_fraction <= 1.0:
-            raise DomainError(f"ground fraction must lie in [0, 1], got {self.ground_fraction}")
+        check_fraction(self.ground_fraction)
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def pairwise_gap(
     The sub-wavelength intra-period wiggle is deliberately ignored; the
     coherent-dynamics module resolves it when needed.
     """
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be finite and non-negative, got {t}")
+    check_time(t)
     return abs(member_speed(a, amu) - member_speed(b, amu)) * t
 
 
@@ -119,10 +117,11 @@ def packet_width(spec: WavepacketSpec, mass_kg: float, t: float) -> float:
     sigma_x(t) = sqrt(sigma_x0^2 + (sigma_p t / M)^2) with
     sigma_p = momentum_width / sqrt(2) and sigma_x0 = hbar / (2 sigma_p).
     """
+    # inline check_time and check_mass_kg: _time_to_resolve calls this ~1e5 times per report
     if not 0.0 <= t < math.inf:
         raise DomainError(f"time must be finite and non-negative, got {t}")
-    if not mass_kg > 0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
+    if not MIN_MASS_KG <= mass_kg < math.inf:
+        raise DomainError(f"mass must be finite and at least {MIN_MASS_KG:g} kg, got {mass_kg} kg")
     sigma_p = spec.momentum_width / math.sqrt(2.0)
     sigma_x0 = HBAR / (2.0 * sigma_p)
     return math.hypot(sigma_x0, sigma_p * t / mass_kg)
@@ -185,33 +184,28 @@ def separation_report(
     """
     if len(mixture) < 2:
         raise DomainError("mixture needs at least 2 members")
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be finite and non-negative, got {t}")
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    if not momentum_width > 0:
-        raise DomainError(f"momentum width must be positive, got {momentum_width}")
 
+    masses = [mass_to_si(m.species.mass_u, amu) for m in mixture]
+    speeds = [member_speed(m, amu) for m in mixture]
+    widths = [_width_at(momentum_width, mass, t) for mass in masses]  # checks t and the width
     pairs = []
     for i, a in enumerate(mixture):
-        mass_a = mass_to_si(a.species.mass_u, amu)
-        width_a = _width_at(momentum_width, mass_a, t)
-        for b in mixture[i + 1 :]:
-            mass_b = mass_to_si(b.species.mass_u, amu)
-            width_b = _width_at(momentum_width, mass_b, t)
-            speed_gap = abs(member_speed(a, amu) - member_speed(b, amu))
+        for j in range(i + 1, len(mixture)):
+            speed_gap = abs(speeds[i] - speeds[j])
             gap = speed_gap * t
             pairs.append(
                 PairSeparation(
                     name_a=a.species.name,
-                    name_b=b.species.name,
+                    name_b=mixture[j].species.name,
                     speed_gap=speed_gap,
                     gap=gap,
-                    width_a=width_a,
-                    width_b=width_b,
-                    resolvable=gap >= kappa * (width_a + width_b),
+                    width_a=widths[i],
+                    width_b=widths[j],
+                    resolvable=gap >= kappa * (widths[i] + widths[j]),
                     time_required=_time_to_resolve(
-                        speed_gap, mass_a, mass_b, kappa, momentum_width
+                        speed_gap, masses[i], masses[j], kappa, momentum_width
                     ),
                 )
             )

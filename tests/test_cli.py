@@ -217,6 +217,24 @@ def test_domain_errors_exit_4():
     assert run(["separate", "--pair", "Mg-24,Mg-25", "--t", "-1"])[0] == EXIT_DOMAIN
 
 
+def test_c0sq_refusal_reads_the_same_in_every_command(capsys):
+    # both commands apply the one ground-fraction rule
+    assert run(["simulate", "--species", "Mg-24", "--c0sq", "1.5", "--t-max", "1e-6"]) == (
+        EXIT_DOMAIN, "")
+    simulate_err = capsys.readouterr().err
+    assert run(["separate", "--pair", "Mg-24,Mg-25", "--c0sq", "1.5", "--t", "1e-6"]) == (
+        EXIT_DOMAIN, "")
+    assert capsys.readouterr().err == simulate_err
+    assert simulate_err == "lightwalk: ground fraction must lie in [0, 1], got 1.5\n"
+
+
+def test_non_finite_center_momentum_is_named(capsys):
+    # the packet is checked before its grid, so the refusal names the field at fault
+    argv = ["simulate", "--species", "Mg-24", "--pc-hbark", "nan", "--t-max", "1e-6"]
+    assert run(argv) == (EXIT_DOMAIN, "")
+    assert "center momentum" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

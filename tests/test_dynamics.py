@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightwalk
 from lightwalk import (
     HBAR,
     DomainError,
@@ -18,6 +20,7 @@ from lightwalk import (
     average_speed,
     band_structure,
     block_detuning,
+    block_hamiltonian,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
@@ -25,7 +28,9 @@ from lightwalk import (
     embedded_table1,
     evolve_block_numeric,
     init_gaussian,
+    kinetic_frequency,
     mass_to_si,
+    packet_width,
     propagate,
     simulate,
     wavenumber,
@@ -80,6 +85,13 @@ def test_wavepacket_spec_validation():
     with pytest.raises(DomainError):
         WavepacketSpec(center_momentum=0.0, momentum_width=1e-28, ground_amp=1.0,
                        excited_amp=0.5)
+    with pytest.raises(DomainError, match="center momentum"):
+        WavepacketSpec(center_momentum=math.nan, momentum_width=1e-28)
+    with pytest.raises(DomainError, match="not finite"):
+        WavepacketSpec(center_momentum=0.0, momentum_width=math.inf)
+    # NaN amplitudes give a NaN norm, which every comparison fails
+    with pytest.raises(DomainError):
+        WavepacketSpec(center_momentum=0.0, momentum_width=1e-28, ground_amp=math.nan)
     spec = WavepacketSpec(0.0, 1e-28, ground_amp=0.6, excited_amp=0.8j)
     assert spec.population_difference == pytest.approx(-0.28, rel=1e-12)
 
@@ -92,6 +104,10 @@ def test_momentum_grid():
         MomentumGrid(0.0, 1.0, 1)
     with pytest.raises(DomainError):
         MomentumGrid(1.0, 1.0, 8)
+    # an infinite bound would turn the grid points into NaN
+    for p_min, p_max in [(-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)]:
+        with pytest.raises(DomainError, match="not finite"):
+            MomentumGrid(p_min, p_max, 4)
     spec = WavepacketSpec(2.0e-28, 1.0e-28)
     packet_grid = MomentumGrid.for_packet(spec, half_span=6.0, n_points=4096)
     assert packet_grid.p_min == pytest.approx(-4.0e-28)
@@ -127,6 +143,43 @@ def test_block_detuning_rejects_bad_mass():
     field = resonant_field()
     with pytest.raises(DomainError):
         block_detuning(0.0, field, 0.0)
+
+
+_PACKET = WavepacketSpec(center_momentum=0.0, momentum_width=1e-28)
+_FIELD = resonant_field()
+_MASS_CALLS = {
+    "band_structure": lambda m: band_structure(MomentumGrid(-1e-27, 1e-27, 16), _FIELD, m),
+    "block_detuning": lambda m: block_detuning(0.0, _FIELD, m),
+    "block_hamiltonian": lambda m: block_hamiltonian(0.0, _FIELD, m),
+    "closed_form_displacement": lambda m: closed_form_displacement(1e-6, _PACKET, _FIELD, m),
+    "closed_form_velocity": lambda m: closed_form_velocity(1e-6, _PACKET, _FIELD, m),
+    "dressed_frequencies": lambda m: dressed_frequencies(1e-27, _FIELD, m),
+    "evolve_block_numeric": lambda m: evolve_block_numeric(1.0, 0.0, 0.0, _FIELD, m, 1e-8, 1e-9),
+    "kinetic_frequency": lambda m: kinetic_frequency(1e-27, m),
+    "packet_width": lambda m: packet_width(_PACKET, m, 1e-3),
+    "propagate": lambda m: propagate(1.0, 0.0, 0.0, _FIELD, m, 1e-6),
+    "simulate": lambda m: simulate(_PACKET, MomentumGrid.for_packet(_PACKET, n_points=64),
+                                   _FIELD, m, [0.0, 1e-9]),
+}
+
+
+def test_mass_calls_cover_every_public_function_taking_a_mass():
+    # a new public function with a mass_kg parameter must be added to _MASS_CALLS
+    taking_a_mass = {
+        name for name in lightwalk.__all__
+        if inspect.isfunction(func := getattr(lightwalk, name))
+        and "mass_kg" in inspect.signature(func).parameters
+    }
+    assert taking_a_mass == set(_MASS_CALLS)
+
+
+@pytest.mark.parametrize("mass_kg", [math.inf, math.nan, 0.0, 1e-310])
+@pytest.mark.parametrize("name", sorted(_MASS_CALLS))
+def test_mass_must_be_a_finite_normal_float(name, mass_kg):
+    # an infinite mass gives free-flight numbers such as 0.0, and 1/M overflows for
+    # a subnormal one
+    with pytest.raises(DomainError):
+        _MASS_CALLS[name](mass_kg)
 
 
 def test_effective_rabi_values():

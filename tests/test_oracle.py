@@ -30,9 +30,13 @@ def field_with_shift(shift, rabi=1.0e6):
 
 
 def test_non_positive_dt_rejected():
+    # a NaN step cannot be counted, and an infinite one would span all of t in one step
     field = field_with_shift(0.0)
-    with pytest.raises(DomainError):
-        evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, 0.0)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            evolve_block_numeric(1.0, 0.0, 0.0, field, MASS, 1e-6, dt)
+        with pytest.raises(DomainError):
+            rk4_propagate(block_hamiltonian(0.0, field, MASS), [1.0, 0.0], 1e-6, dt)
 
 
 def test_step_bounds_enforced_at_entry():

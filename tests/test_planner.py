@@ -16,12 +16,14 @@ from lightwalk import (
     closed_form_displacement,
     closed_form_velocity,
     embedded_table1,
+    evolve_block_numeric,
     mass_to_si,
     member_speed,
     packet_width,
     pairwise_gap,
     parse_catalog,
     propagate,
+    rk4_propagate,
     separation_report,
     speed_ladder,
     speed_table,
@@ -162,6 +164,8 @@ _TIMED_CALLS = {
     "closed_form_displacement": lambda t: closed_form_displacement(t, _SPEC, _FIELD, _MASS),
     "closed_form_velocity": lambda t: closed_form_velocity(t, _SPEC, _FIELD, _MASS),
     "propagate": lambda t: propagate(1.0, 0.0, 0.0, _FIELD, _MASS, t),
+    "rk4_propagate": lambda t: rk4_propagate([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], t, 1e-9),
+    "evolve_block_numeric": lambda t: evolve_block_numeric(1.0, 0.0, 0.0, _FIELD, _MASS, t, 1e-9),
 }
 
 
