@@ -28,7 +28,7 @@ from .errors import CatalogError, DomainError
 CATALOG_HEADER = "name,mass_u,transition,wavelength_nm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Species:
     """One element or isotope with its purification transition."""
 
@@ -37,13 +37,20 @@ class Species:
     transition: str
     wavelength_nm: float
 
-    def __post_init__(self) -> None:
-        if not self.name.strip():
+    def __init__(self, name: str, mass_u: float, transition: str, wavelength_nm: float) -> None:
+        # checks, then stores that bypass the frozen __setattr__: the catalog
+        # parser builds one Species per row, and validate parses about 11,600 rows
+        if not name.strip():
             raise DomainError("species name must be nonempty")
-        if not 0 < self.mass_u < math.inf:
-            raise DomainError(f"mass must be finite and positive, got {self.mass_u}")
-        if not 0 < self.wavelength_nm < math.inf:
-            raise DomainError(f"wavelength must be finite and positive, got {self.wavelength_nm}")
+        if not 0 < mass_u < math.inf:
+            raise DomainError(f"mass must be finite and positive, got {mass_u}")
+        if not 0 < wavelength_nm < math.inf:
+            raise DomainError(f"wavelength must be finite and positive, got {wavelength_nm}")
+        fields = self.__dict__  # one store per key keeps the dict smaller than update() does
+        fields["name"] = name
+        fields["mass_u"] = mass_u
+        fields["transition"] = transition
+        fields["wavelength_nm"] = wavelength_nm
 
 
 @dataclass(frozen=True)
@@ -142,10 +149,10 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Render a catalog back to text; floats use repr so parsing is lossless."""
-    lines = [CATALOG_HEADER]
-    for sp in catalog.entries:
-        lines.append(f"{sp.name},{sp.mass_u!r},{sp.transition},{sp.wavelength_nm!r}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        f"{sp.name},{sp.mass_u!r},{sp.transition},{sp.wavelength_nm!r}" for sp in catalog.entries
+    ]
+    return "\n".join([CATALOG_HEADER, *rows]) + "\n"
 
 
 def load_catalog(path: str) -> Catalog:

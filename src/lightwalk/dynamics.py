@@ -135,9 +135,20 @@ class MomentumGrid:
     def for_packet(
         cls, spec: WavepacketSpec, half_span: float = 6.0, n_points: int = 4096
     ) -> "MomentumGrid":
-        """Grid centered on the packet, default +-6 widths at 4096 points."""
-        span = half_span * spec.momentum_width
-        return cls(spec.center_momentum - span, spec.center_momentum + span, n_points)
+        """Grid centered on the packet, default +-6 widths at 4096 points.
+
+        Raises :class:`DomainError` when a positive span rounds away beside
+        the center momentum, so that a grid bound equals the center.
+        """
+        center, width = spec.center_momentum, spec.momentum_width
+        span = half_span * width
+        if span > 0.0 and not center - span < center < center + span:
+            raise DomainError(
+                f"momentum width {width:g} vanishes beside the center momentum {center:g} "
+                f"(center/width = {center / width:.3g}): center +- {half_span:g} widths "
+                f"rounds to the center"
+            )
+        return cls(center - span, center + span, n_points)
 
 
 @dataclass(frozen=True)
@@ -371,35 +382,37 @@ def simulate(
     )
 
 
-def closed_form_displacement(
-    t: float, spec: WavepacketSpec, field: LightField, mass_kg: float
-) -> float:
+def closed_form_displacement(t, spec: WavepacketSpec, field: LightField, mass_kg: float):
     """Strong-coupling mean position: ballistic drift plus coherent walking.
 
         x(t) = x0 + pc t / M + (n0 - n1) (hbar k / 2M) (t - sin(W t) / W)
 
     Valid when the coupling dominates every block shift on the packet.
+    ``t`` may be an array; a scalar ``t`` gives a float.
     """
-    check_time(t)
+    t = check_time(t)
     rabi = field.rabi
     if rabi <= 0:
         raise DomainError("closed-form displacement needs a positive coupling "
                           "(use free flight for an uncoupled atom)")
     drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
-    return (
+    x = (
         spec.initial_position
         + spec.center_momentum * t / mass_kg
-        + drift * (t - math.sin(rabi * t) / rabi)
+        + drift * (t - np.sin(rabi * t) / rabi)
     )
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def closed_form_velocity(
-    t: float, spec: WavepacketSpec, field: LightField, mass_kg: float
-) -> float:
-    """Strong-coupling mean velocity, periodic with the Rabi period."""
-    check_time(t)
+def closed_form_velocity(t, spec: WavepacketSpec, field: LightField, mass_kg: float):
+    """Strong-coupling mean velocity, periodic with the Rabi period.
+
+    ``t`` may be an array; a scalar ``t`` gives a float.
+    """
+    t = check_time(t)
     drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
-    return spec.center_momentum / mass_kg + drift * (1.0 - math.cos(field.rabi * t))
+    v = spec.center_momentum / mass_kg + drift * (1.0 - np.cos(field.rabi * t))
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def average_speed(

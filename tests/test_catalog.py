@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -156,3 +158,34 @@ _catalogs = st.lists(_species, max_size=8, unique_by=lambda sp: sp.name).map(
 @given(_catalogs)
 def test_round_trip_property(catalog):
     assert parse_catalog(serialize_catalog(catalog)).entries == catalog.entries
+
+
+def test_species_is_a_frozen_value_with_four_fields():
+    sp = Species("A-1", 1.5, "x", 500.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.mass_u = 2.0
+    with pytest.raises(DomainError):
+        dataclasses.replace(sp, mass_u=-1.0)
+    assert dataclasses.replace(sp, mass_u=3.0) == Species("A-1", 3.0, "x", 500.0)
+    assert [f.name for f in dataclasses.fields(Species)] == [
+        "name", "mass_u", "transition", "wavelength_nm"
+    ]
+    twin = Species(name="A-1", mass_u=1.5, transition="x", wavelength_nm=500.0)
+    assert sp == twin and hash(sp) == hash(twin)
+    assert sp != Species("A-1", 1.5, "y", 500.0)
+    assert pickle.loads(pickle.dumps(sp)) == sp
+    assert repr(sp) == "Species(name='A-1', mass_u=1.5, transition='x', wavelength_nm=500.0)"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((" ", 1.0, "x", 500.0), "species name must be nonempty"),
+        (("A-1", 0.0, "x", 500.0), "mass must be finite and positive, got 0.0"),
+        (("A-1", 1.0, "x", math.nan), "wavelength must be finite and positive, got nan"),
+    ],
+)
+def test_species_refusal_messages(fields, message):
+    with pytest.raises(DomainError) as err:
+        Species(*fields)
+    assert str(err.value) == message

@@ -4,12 +4,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightwalk import embedded_table1
-from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main, run
+from lightwalk import DomainError, embedded_table1
+from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, _fmt, _table, main, run
 
 # a command's exit code must not depend on the warnings filter
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -304,6 +305,53 @@ def test_aliasing_refusal_names_the_grid_points_that_suffice(capsys):
     code, out = run([*argv, "--grid-points", str(needed)])
     assert code == EXIT_OK
     assert len(rows_of(out)[1]) == 21
+
+
+def test_center_momentum_beside_which_the_width_vanishes_is_named(capsys):
+    # center +- 6 widths round to the center itself: the fault is their ratio, not the bounds
+    argv = ["simulate", "--species", "Mg-24", "--pc-hbark", "1e300", "--t-max", "1e-6"]
+    assert run(argv) == (EXIT_DOMAIN, "")
+    err = capsys.readouterr().err
+    assert "p_max must exceed p_min" not in err
+    assert "momentum width 1.1616e-28 vanishes beside the center momentum 2.3232e+273" in err
+    assert "center/width = 2e+301" in err
+
+
+# the bytes _table must keep: one _fmt per value
+def _table_per_value(header, *columns):
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in zip(*columns))]) + "\n"
+
+
+TABLE_EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1 + 0.2, 1.0000000005, 1.0000000015, 2.0000000005,
+    123456789.5, 123456788.5, 0.1234567895, 99999999.95, 999999999.5, 9.9999999995e-5,
+    1e16, 1e-5, 1e-4, 123456789, 6.02214076e23, 1.602176634e-19, 299792458.0, 1.0, -1.0,
+]
+
+
+def test_table_bytes_equal_the_per_value_path():
+    rng = np.random.default_rng(3)
+    mixed = rng.normal(size=1200) * 10.0 ** rng.integers(-300, 300, size=1200)
+    ties = np.round(rng.uniform(1.0, 10.0, size=1200), 8) + 5e-9  # near 9-digit ties
+    values = np.concatenate([TABLE_EDGE_VALUES * 6, mixed, ties])
+    columns = list(values.reshape(6, -1))  # 426 rows: more than one block of rows
+    header = "a,b,c,d,e,f"
+    assert _table(header, *columns) == _table_per_value(header, *columns)
+    # rows of one column, and plain lists
+    assert _table("a", TABLE_EDGE_VALUES) == _table_per_value("a", TABLE_EDGE_VALUES)
+
+
+def test_table_refusal_names_the_first_non_finite_value_in_row_order():
+    # row 1 holds -inf, row 2 nan: a column-major search would name the nan
+    columns = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, np.nan]),
+               np.array([1.0, -np.inf, 3.0])]
+    with pytest.raises(DomainError) as err:
+        _table("a,b,c", *columns)
+    with pytest.raises(DomainError) as expected:
+        _table_per_value("a,b,c", *columns)
+    assert str(err.value) == str(expected.value)
+    assert "(-inf)" in str(err.value)
 
 
 def test_separate_repeated_name_is_usage_error():

@@ -764,6 +764,22 @@ def test_closed_form_velocity_period_mean_matches_average_speed():
     )
 
 
+@pytest.mark.parametrize("closed_form", [closed_form_displacement, closed_form_velocity])
+def test_closed_forms_over_an_array_equal_the_scalar_calls(closed_form):
+    field = LightField(RB87_WAVELENGTH, rabi=1e6, direction=-1)
+    spec = WavepacketSpec(0.3e-27, 1e-28, ground_amp=0.6, excited_amp=0.8, initial_position=1e-6)
+    times = np.linspace(0.0, 3 * field.period, 601)
+    swept = closed_form(times, spec, field, RB87_MASS)
+    assert isinstance(swept, np.ndarray) and swept.shape == times.shape
+    scalars = [closed_form(t, spec, field, RB87_MASS) for t in times.tolist()]
+    assert all(type(x) is float for x in scalars)
+    assert swept.tolist() == scalars
+    assert "np.float64" not in repr(scalars[-1])
+    assert type(closed_form(0, spec, field, RB87_MASS)) is float
+    with pytest.raises(DomainError):
+        closed_form(np.array([0.0, -1e-9]), spec, field, RB87_MASS)
+
+
 def test_average_speed_reference_rows():
     catalog = embedded_table1()
     assert average_speed(catalog.get("Li-7")) == pytest.approx(0.042153, rel=5e-4)
