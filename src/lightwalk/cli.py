@@ -43,11 +43,7 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(value: float) -> str:
-    """9 significant digits; a non-finite result is a domain error, never printed."""
-    if not math.isfinite(value):
-        raise DomainError(f"a result is not finite ({value}): an input is out of float range")
-    return f"{value:.9g}"
+_NUMBER = "%.9g"  # 9 significant digits, the one number format of every CSV
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,34 +131,38 @@ def _species(catalog: Catalog, name: str):
         raise UsageError(str(exc)) from None
 
 
-def _csv(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
 def _table(header: str, *columns) -> str:
-    """CSV of numeric columns, the bytes of ``_fmt`` per value at one ``%`` call per row."""
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    if not all(np.isfinite(column).all() for column in columns):
-        table = np.column_stack(columns)
-        _fmt(table[~np.isfinite(table)][0])  # raises, naming the first in row order
-    row_format = ",".join(["%.9g"] * len(columns))
-    rows = []
+    """CSV at one ``%`` call per row: a str-dtype column as it is, any other as numbers.
+
+    A non-finite number is a domain error, never printed; the message names
+    the first one in row order.
+    """
+    columns = [np.asarray(column) for column in columns]
+    columns = [c if c.dtype.kind in "US" else np.asarray(c, dtype=float) for c in columns]
+    numbers = [c for c in columns if c.dtype.kind == "f"]
+    if not all(np.isfinite(column).all() for column in numbers):
+        table = np.column_stack(numbers)
+        value = table[~np.isfinite(table)][0]
+        raise DomainError(f"a result is not finite ({value}): an input is out of float range")
+    row_format = ",".join(_NUMBER if c.dtype.kind == "f" else "%s" for c in columns)
+    lines = [header]
     # tolist makes Python floats, which % formats fastest; a block of rows at a
     # time keeps them from doubling the memory of a long table
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
-        rows += [row_format % row for row in block]
-    return _csv(header, rows)
+        lines += [row_format % row for row in block]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_speeds(args: argparse.Namespace) -> str:
     catalog, amu = _load(args)
-    speeds = speed_table(catalog, amu)
-    rows = [
-        f"{sp.name},{_fmt(sp.mass_u)},{_fmt(sp.wavelength_nm)},{_fmt(speeds[sp.name])}"
-        for sp in catalog
-    ]
-    return _csv("name,mass_u,wavelength_nm,vbar_mps", rows)
+    return _table(
+        "name,mass_u,wavelength_nm,vbar_mps",
+        catalog.names(),
+        [sp.mass_u for sp in catalog],
+        [sp.wavelength_nm for sp in catalog],
+        list(speed_table(catalog, amu).values()),
+    )
 
 
 def _species_field(args: argparse.Namespace) -> tuple[float, LightField, float]:
@@ -239,16 +239,18 @@ def _cmd_separate(args: argparse.Namespace) -> str:
     mean_k = sum(wavenumber(m.species.wavelength_nm * 1e-9) for m in members) / len(members)
     momentum_width = args.pi_hbark * HBAR * mean_k
     report = separation_report(members, args.t, args.kappa, momentum_width, amu)
-    rows = []
-    for pair in report.pairs:
-        t_req = "" if pair.time_required is None else _fmt(pair.time_required)
-        rows.append(
-            f"{pair.name_a},{pair.name_b},{_fmt(pair.speed_gap)},{_fmt(pair.gap)},"
-            f"{_fmt(pair.width_a)},{_fmt(pair.width_b)},"
-            f"{'true' if pair.resolvable else 'false'},{t_req}"
-        )
-    return _csv(
-        "name_a,name_b,dvbar_mps,gap_m,width_a_m,width_b_m,resolvable,t_required_s", rows
+    names = np.array(report.names)
+    t_required = report.time_required  # NaN, printed empty, where the pair never resolves
+    return _table(
+        "name_a,name_b,dvbar_mps,gap_m,width_a_m,width_b_m,resolvable,t_required_s",
+        names[report.pairs[:, 0]],
+        names[report.pairs[:, 1]],
+        report.speed_gap,
+        report.gap,
+        report.width_a,
+        report.width_b,
+        np.where(report.resolvable, "true", "false"),
+        np.where(np.isnan(t_required), "", np.char.mod(_NUMBER, t_required)),
     )
 
 
@@ -283,7 +285,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         if args.command == "validate":
             document, code = _cmd_validate(args)
         else:
-            # _fmt refuses every non-finite result, so the float warnings on the
+            # _table refuses every non-finite result, so the float warnings on the
             # way there carry nothing and must not turn into errors
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 document, code = _CSV_COMMANDS[args.command](args), EXIT_OK

@@ -122,7 +122,7 @@ class MomentumGrid:
         if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
             raise DomainError(f"grid bounds are not finite: [{self.p_min}, {self.p_max}]")
         if not self.p_max > self.p_min:
-            raise DomainError("p_max must exceed p_min")
+            raise DomainError(f"p_max must exceed p_min: [{self.p_min}, {self.p_max}]")
 
     @property
     def spacing(self) -> float:
@@ -137,12 +137,18 @@ class MomentumGrid:
     ) -> "MomentumGrid":
         """Grid centered on the packet, default +-6 widths at 4096 points.
 
-        Raises :class:`DomainError` when a positive span rounds away beside
+        Raises :class:`DomainError` when the half span is not finite and
+        positive, when the span underflows to 0, or when it rounds away beside
         the center momentum, so that a grid bound equals the center.
         """
         center, width = spec.center_momentum, spec.momentum_width
         span = half_span * width
-        if span > 0.0 and not center - span < center < center + span:
+        if not (0.0 < half_span < math.inf and span > 0.0):
+            raise DomainError(
+                f"grid half span must be finite and positive, with a nonzero span: got half "
+                f"span {half_span:g}, a span of {span:g} kg m/s at width {width:g} kg m/s"
+            )
+        if not center - span < center < center + span:
             raise DomainError(
                 f"momentum width {width:g} vanishes beside the center momentum {center:g} "
                 f"(center/width = {center / width:.3g}): center +- {half_span:g} widths "

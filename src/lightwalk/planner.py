@@ -14,6 +14,8 @@ import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import Catalog, Species
 from .constants import HBAR, U_ROUNDED, mass_to_si
 from .dynamics import WavepacketSpec, average_speed
@@ -61,25 +63,20 @@ class MixtureMember:
 
 
 @dataclass(frozen=True)
-class PairSeparation:
-    """Resolvability verdict for one unordered species pair."""
-
-    name_a: str
-    name_b: str
-    speed_gap: float
-    gap: float
-    width_a: float
-    width_b: float
-    resolvable: bool
-    time_required: float | None
-
-
-@dataclass(frozen=True)
 class SeparationReport:
-    time: float
-    kappa: float
-    momentum_width: float
-    pairs: tuple[PairSeparation, ...]
+    """Per-pair columns; ``time_required`` is NaN where the pair never resolves.
+
+    ``pairs`` holds each pair's member indices ``(a, b)`` in ``np.triu_indices`` order.
+    """
+
+    names: tuple[str, ...]
+    pairs: np.ndarray
+    speed_gap: np.ndarray
+    gap: np.ndarray
+    width_a: np.ndarray
+    width_b: np.ndarray
+    resolvable: np.ndarray
+    time_required: np.ndarray
 
 
 def speed_table(catalog: Catalog, amu: float = U_ROUNDED) -> dict[str, float]:
@@ -180,37 +177,28 @@ def separation_report(
 
     A pair is resolvable at time t when its displacement gap is at least
     ``kappa`` times the summed packet widths; ``time_required`` is the
-    smallest such time (None when spreading always wins).
+    smallest such time (NaN when spreading always wins).
     """
     if len(mixture) < 2:
         raise DomainError("mixture needs at least 2 members")
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise DomainError(f"kappa must be finite and positive, got {kappa}")
 
     masses = [mass_to_si(m.species.mass_u, amu) for m in mixture]
-    speeds = [member_speed(m, amu) for m in mixture]
-    widths = [_width_at(momentum_width, mass, t) for mass in masses]  # checks t and the width
-    pairs = []
-    for i, a in enumerate(mixture):
-        for j in range(i + 1, len(mixture)):
-            speed_gap = abs(speeds[i] - speeds[j])
-            gap = speed_gap * t
-            pairs.append(
-                PairSeparation(
-                    name_a=a.species.name,
-                    name_b=mixture[j].species.name,
-                    speed_gap=speed_gap,
-                    gap=gap,
-                    width_a=widths[i],
-                    width_b=widths[j],
-                    resolvable=gap >= kappa * (widths[i] + widths[j]),
-                    time_required=_time_to_resolve(
-                        speed_gap, masses[i], masses[j], kappa, momentum_width
-                    ),
-                )
-            )
+    speeds = np.array([member_speed(m, amu) for m in mixture])
+    widths = np.array([_width_at(momentum_width, m, t) for m in masses])  # checks t, width
+    a, b = np.triu_indices(len(mixture), 1)
+    speed_gap = np.abs(speeds[a] - speeds[b])
+    gap = speed_gap * t
+    time_required = [
+        _time_to_resolve(dv, masses[i], masses[j], kappa, momentum_width)
+        for dv, i, j in zip(speed_gap.tolist(), a.tolist(), b.tolist())
+    ]
     return SeparationReport(
-        time=t, kappa=kappa, momentum_width=momentum_width, pairs=tuple(pairs)
+        names=tuple(m.species.name for m in mixture), pairs=np.column_stack((a, b)),
+        speed_gap=speed_gap, gap=gap, width_a=widths[a], width_b=widths[b],
+        resolvable=gap >= kappa * (widths[a] + widths[b]),
+        time_required=np.array(time_required, dtype=float),  # None becomes NaN
     )
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightwalk import DomainError, embedded_table1
-from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, _fmt, _table, main, run
+from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, _table, main, run
 
 # a command's exit code must not depend on the warnings filter
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -258,6 +258,7 @@ def test_non_finite_center_momentum_is_named(capsys):
         ["simulate", "--species", "Mg-24", "--t-max", "1e-300", "--pi-hbark", "1e200"],
         # squared grid offsets that overflow while the width squared does not
         ["simulate", "--species", "Mg-24", "--t-max", "1e-200", "--pi-hbark", "2e180"],
+        ["separate", "--t", "1e-4", "--kappa", "inf"],
     ],
 )
 def test_non_finite_input_exits_4(argv):
@@ -315,11 +316,25 @@ def test_center_momentum_beside_which_the_width_vanishes_is_named(capsys):
     assert "p_max must exceed p_min" not in err
     assert "momentum width 1.1616e-28 vanishes beside the center momentum 2.3232e+273" in err
     assert "center/width = 2e+301" in err
+    # a grid span that is not positive, or that underflows to 0, is named by its half span
+    for half_span in ("0", "-1", "1e-300"):
+        argv = ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--grid-span", half_span]
+        assert run(argv) == (EXIT_DOMAIN, "")
+        err = capsys.readouterr().err
+        assert "p_max must exceed p_min" not in err
+        assert f"half span {half_span}," in err
 
 
-# the bytes _table must keep: one _fmt per value
+# the bytes _table must keep: text as it is, one 9-digit format per number
 def _table_per_value(header, *columns):
-    return "\n".join([header, *(",".join(map(_fmt, row)) for row in zip(*columns))]) + "\n"
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if not math.isfinite(value):
+            raise DomainError(f"a result is not finite ({value}): an input is out of float range")
+        return f"{value:.9g}"
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in zip(*columns))]) + "\n"
 
 
 TABLE_EDGE_VALUES = [
@@ -336,7 +351,9 @@ def test_table_bytes_equal_the_per_value_path():
     ties = np.round(rng.uniform(1.0, 10.0, size=1200), 8) + 5e-9  # near 9-digit ties
     values = np.concatenate([TABLE_EDGE_VALUES * 6, mixed, ties])
     columns = list(values.reshape(6, -1))  # 426 rows: more than one block of rows
-    header = "a,b,c,d,e,f"
+    # a text column is printed as it is, beside the numbers
+    columns.insert(2, np.array([f"Sp{i}-{i % 7}" for i in range(len(columns[0]))]))
+    header = "a,b,name,c,d,e,f"
     assert _table(header, *columns) == _table_per_value(header, *columns)
     # rows of one column, and plain lists
     assert _table("a", TABLE_EDGE_VALUES) == _table_per_value("a", TABLE_EDGE_VALUES)

@@ -102,7 +102,7 @@ def test_momentum_grid():
     assert np.allclose(grid.points(), [-2, -1, 0, 1, 2])
     with pytest.raises(DomainError):
         MomentumGrid(0.0, 1.0, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"p_max must exceed p_min: \[1.0, 1.0\]"):
         MomentumGrid(1.0, 1.0, 8)
     # an infinite bound would turn the grid points into NaN
     for p_min, p_max in [(-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)]:

@@ -28,6 +28,7 @@ from lightwalk import (
     speed_ladder,
     speed_table,
 )
+from lightwalk.planner import _time_to_resolve
 
 CATALOG = embedded_table1()
 
@@ -138,20 +139,49 @@ def test_separation_report_shape_and_flags():
     mixture = [member("Li-7"), member("C-12"), member("Mg-24")]
     report = separation_report(mixture, t=42e-6, kappa=2.0, momentum_width=1.7152e-28)
     assert len(report.pairs) == 3
-    names = {(p.name_a, p.name_b) for p in report.pairs}
-    assert names == {("Li-7", "C-12"), ("Li-7", "Mg-24"), ("C-12", "Mg-24")}
-    lithium_carbon = next(p for p in report.pairs if p.name_b == "C-12")
-    assert lithium_carbon.gap == pytest.approx(2.4201e-6, rel=1e-3)
-    assert lithium_carbon.resolvable
+    names = [(report.names[a], report.names[b]) for a, b in report.pairs]
+    assert names == [("Li-7", "C-12"), ("Li-7", "Mg-24"), ("C-12", "Mg-24")]
+    assert report.gap[0] == pytest.approx(2.4201e-6, rel=1e-3)
+    assert report.resolvable[0]
 
 
 def test_separation_report_identical_species():
     mixture = [member("Mg-24"), member("Mg-24", p_c=0.0)]
     report = separation_report(mixture, t=1.0, kappa=2.0, momentum_width=1e-28)
-    pair = report.pairs[0]
-    assert pair.gap == 0.0
-    assert not pair.resolvable
-    assert pair.time_required is None
+    assert report.gap[0] == 0.0
+    assert not report.resolvable[0]
+    assert math.isnan(report.time_required[0])
+
+
+def test_separation_report_columns_equal_the_per_pair_scalar_path():
+    mixture = [MixtureMember(sp) for sp in CATALOG]
+    t, kappa, momentum_width = 1e-4, 2.0, 9e-29
+    report = separation_report(mixture, t, kappa, momentum_width)
+    spec = WavepacketSpec(0.0, momentum_width)
+    masses = [mass_to_si(m.species.mass_u) for m in mixture]
+    n = len(mixture)
+    assert [tuple(pair) for pair in report.pairs] == [
+        (a, b) for a in range(n) for b in range(a + 1, n)
+    ]
+    never = 0
+    for k, (a, b) in enumerate(report.pairs.tolist()):
+        assert report.names[a] == mixture[a].species.name
+        speed_gap = pairwise_gap(mixture[a], mixture[b], 1.0)
+        gap = pairwise_gap(mixture[a], mixture[b], t)
+        width_a = packet_width(spec, masses[a], t)
+        width_b = packet_width(spec, masses[b], t)
+        assert report.speed_gap[k] == speed_gap
+        assert report.gap[k] == gap
+        assert report.width_a[k] == width_a
+        assert report.width_b[k] == width_b
+        assert report.resolvable[k] == (gap >= kappa * (width_a + width_b))
+        expected = _time_to_resolve(speed_gap, masses[a], masses[b], kappa, momentum_width)
+        if expected is None:
+            never += 1
+            assert math.isnan(report.time_required[k])
+        else:
+            assert report.time_required[k] == expected
+    assert 0 < never < len(report.pairs)
 
 
 _SPEC = WavepacketSpec(center_momentum=0.0, momentum_width=1e-28)
@@ -186,6 +216,8 @@ def test_separation_report_validation():
     with pytest.raises(DomainError):
         separation_report(mixture, t=1.0, kappa=0.0)
     with pytest.raises(DomainError):
+        separation_report(mixture, t=1.0, kappa=math.inf)
+    with pytest.raises(DomainError):
         separation_report(mixture, t=1.0, momentum_width=-1e-28)
 
 
@@ -194,23 +226,23 @@ def test_time_required_satisfies_defining_equation():
     kappa = 2.0
     mixture = [member("Li-7"), member("C-12")]
     report = separation_report(mixture, t=1e-6, kappa=kappa, momentum_width=momentum_width)
-    pair = report.pairs[0]
-    assert pair.time_required is not None
+    time_required = float(report.time_required[0])
+    assert not math.isnan(time_required)
     spec = WavepacketSpec(0.0, momentum_width)
     mass_li = mass_to_si(CATALOG.get("Li-7").mass_u)
     mass_c = mass_to_si(CATALOG.get("C-12").mass_u)
-    widths = packet_width(spec, mass_li, pair.time_required) + packet_width(
-        spec, mass_c, pair.time_required
+    widths = packet_width(spec, mass_li, time_required) + packet_width(
+        spec, mass_c, time_required
     )
-    gap = pairwise_gap(mixture[0], mixture[1], pair.time_required)
+    gap = pairwise_gap(mixture[0], mixture[1], time_required)
     assert gap == pytest.approx(kappa * widths, rel=1e-6)
     # resolvability is monotone past the threshold
-    later = separation_report(mixture, t=2 * pair.time_required, kappa=kappa,
+    later = separation_report(mixture, t=2 * time_required, kappa=kappa,
                               momentum_width=momentum_width)
-    earlier = separation_report(mixture, t=0.5 * pair.time_required, kappa=kappa,
+    earlier = separation_report(mixture, t=0.5 * time_required, kappa=kappa,
                                 momentum_width=momentum_width)
-    assert later.pairs[0].resolvable
-    assert not earlier.pairs[0].resolvable
+    assert later.resolvable[0]
+    assert not earlier.resolvable[0]
 
 
 def test_time_required_none_when_spreading_wins():
@@ -218,8 +250,8 @@ def test_time_required_none_when_spreading_wins():
     report = separation_report(
         [member("Mg-24"), member("Mg-25")], t=42e-6, kappa=2.0, momentum_width=1e-26
     )
-    assert report.pairs[0].time_required is None
-    assert not report.pairs[0].resolvable
+    assert math.isnan(report.time_required[0])
+    assert not report.resolvable[0]
 
 
 def test_speed_ladder_group_means_descend():
