@@ -190,16 +190,28 @@ def effective_rabi(shift, rabi):
     return np.hypot(shift, rabi)
 
 
+def _block_frame(p, field: LightField, mass_kg: float):
+    """Dressed frame (S, trace, 1/S, x, y) of the blocks at momentum p.
+
+    S is the effective Rabi frequency, trace the sum of the block's two bare
+    frequencies, and x = shift/S, y = rabi/S its mixing ratios. A block with
+    S = 0 is a pure common phase; its limit is 1/S = y = 0 and x = 1.
+    """
+    shift = block_detuning(p, field, mass_kg)
+    split = effective_rabi(shift, field.rabi)
+    trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
+    moving = split > 0.0
+    inv_split = np.where(moving, 1.0 / np.where(moving, split, 1.0), 0.0)
+    return split, trace, inv_split, np.where(moving, shift * inv_split, 1.0), field.rabi * inv_split
+
+
 def dressed_frequencies(p, field: LightField, mass_kg: float):
     """Dressed eigenfrequency pair (low, high) of the block at momentum p.
 
     Their sum is the block's frequency trace, their difference the
     effective Rabi frequency. Accepts scalar or array p.
     """
-    w_ground = kinetic_frequency(p, mass_kg)
-    w_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
-    trace = w_ground + w_excited
-    split = effective_rabi(w_excited - w_ground, field.rabi)
+    split, trace = _block_frame(p, field, mass_kg)[:2]
     return 0.5 * (trace - split), 0.5 * (trace + split)
 
 
@@ -231,21 +243,16 @@ def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):
     is the 0-d case. Each block rotates at its effective Rabi frequency
     under the common phase of its frequency trace, so its norm is conserved
     identically. Blocks with vanishing effective Rabi frequency reduce to
-    that pure common phase (both bare frequencies coincide there), which is
-    the limit the safe divisions below implement.
+    that pure common phase (both bare frequencies coincide there), the limit
+    :func:`_block_frame` sets.
     """
     t = check_time(t)
-    shift = block_detuning(p, field, mass_kg)
-    split = effective_rabi(shift, field.rabi)
-    trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
+    split, trace, _, x, y = _block_frame(p, field, mass_kg)
     half = 0.5 * split * t
     cos_h, sin_h = np.cos(half), np.sin(half)
-    safe = np.where(split > 0.0, split, 1.0)
-    mix_shift = np.where(split > 0.0, shift / safe, 0.0) * sin_h
-    mix_coupling = np.where(split > 0.0, field.rabi / safe, 0.0) * sin_h
     phase = np.exp(-0.5j * trace * t)
-    ground = phase * ((cos_h + 1j * mix_shift) * ground0 + 1j * mix_coupling * excited0)
-    excited = phase * (1j * mix_coupling * ground0 + (cos_h - 1j * mix_shift) * excited0)
+    ground = phase * ((cos_h + 1j * x * sin_h) * ground0 + 1j * y * sin_h * excited0)
+    excited = phase * (1j * y * sin_h * ground0 + (cos_h - 1j * x * sin_h) * excited0)
     return ground, excited
 
 
@@ -254,10 +261,12 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
 
     The envelope is normalized to unit norm on the grid. Raises
     :class:`DomainError` when the grid truncates more than 1e-6 of
-    the packet's norm (grids should span the center +-5 widths), and
-    when the width is so extreme that the squared grid offsets overflow,
+    the packet's norm (grids should span the center +-5 widths), when
+    the width is so extreme that the squared grid offsets overflow,
     or the envelope over- or underflows so that its norm is not finite
-    and positive.
+    and positive, and when the grid is too coarse to resolve the packet:
+    its discrete norm sum |env|^2 dp is off from width sqrt(pi) by more
+    than the same 1e-6 (at +-6 widths, 15 points or fewer).
     """
     pc, width = spec.center_momentum, spec.momentum_width
     tail = 0.5 * (
@@ -275,11 +284,18 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
     with np.errstate(all="ignore"):
         offset_sq = (p - pc) ** 2
         envelope = np.exp(-offset_sq / (2.0 * np.float_power(width, 2))).astype(complex)
-        norm = math.sqrt(float((np.abs(envelope) ** 2).sum()) * grid.spacing)
+        sum_sq = float((np.abs(envelope) ** 2).sum())
+        norm = math.sqrt(sum_sq * grid.spacing)
     if not (np.isfinite(offset_sq).all() and math.isfinite(norm) and norm > 0.0):
         raise DomainError(
             f"momentum width {width:g} is out of float range: on the grid the squared "
             f"offsets reach {offset_sq.max():g} and the packet envelope has norm {norm:g}"
+        )
+    resolution = abs(sum_sq * (grid.spacing / width) / math.sqrt(math.pi) - 1.0)
+    if resolution > 1e-6:
+        raise DomainError(
+            f"{grid.n_points} grid points are too coarse for the packet (width {width:g}, "
+            f"spacing {grid.spacing:g}): its discrete norm is off by {resolution:.2e}"
         )
     envelope /= norm
     return spec.ground_amp * envelope, spec.excited_amp * envelope
@@ -295,8 +311,8 @@ def simulate(
     """Observables of the packet at each requested time, in closed form.
 
     Each block conserves its own norm, and with its effective Rabi
-    frequency S, x = shift/S and y = rabi/S (x = 1, y = 0 where S = 0) its
-    excited population is
+    frequency S, x = shift/S and y = rabi/S (:func:`_block_frame` sets their
+    S = 0 limit) its excited population is
 
         cos^2(St/2) |e0|^2 + sin^2(St/2) |D|^2 + sin(St) C,
         D = y g0 - x e0,  C = -y Im(g0 conj(e0)).
@@ -307,10 +323,12 @@ def simulate(
     grid: ``times`` only sets which rows are returned, not their accuracy.
 
     Raises :class:`DomainError` before any work when the run is out of the
-    grid's or the float phase's reach: past t_alias = 2 pi / (max|dS/dp| dp)
-    neighbouring blocks dephase by a full turn and the grid sum aliases into
-    false revivals, and the rounding error of the largest phase,
-    max(S) t_max 2^-52, must stay below ``_PHASE_TOL`` rad.
+    float phase's or the grid's reach: the rounding error of the largest
+    phase, max(S) t_max 2^-52, must stay below ``_PHASE_TOL`` rad; the grid
+    must hold the packet (see :func:`init_gaussian`), checked first so that
+    the aliasing refusal names only grids that pass; and past t_alias =
+    2 pi / (max|dS/dp| dp) neighbouring blocks dephase by a full turn and
+    the grid sum aliases into false revivals.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
@@ -323,18 +341,14 @@ def simulate(
     p = grid.points()
     dp = grid.spacing
     t_max = float(times[-1])
-    shift = block_detuning(p, field, mass_kg)
-    split = effective_rabi(shift, field.rabi)
+    split, _, inv_split, x, y = _block_frame(p, field, mass_kg)
     phase = float(split.max()) * t_max
     if not phase * 2.0**-52 <= _PHASE_TOL:
         raise DomainError(
             f"the phase max(S) t_max = {phase:.3g} rad carries a rounding error of "
             f"{phase * 2.0**-52:.2g} rad, above {_PHASE_TOL:g} rad"
         )
-    moving = split > 0.0
-    inv_split = np.where(moving, 1.0 / np.where(moving, split, 1.0), 0.0)
-    x = np.where(moving, shift * inv_split, 1.0)
-    y = field.rabi * inv_split
+    ground0, excited0 = init_gaussian(spec, grid)
     # |dS/dp| = |x| k / M; past t_alias neighbouring blocks dephase by 2 pi
     rate = float(np.abs(x).max()) * abs(field.wavenumber) / mass_kg
     if rate * dp * t_max > 2.0 * math.pi:
@@ -345,7 +359,6 @@ def simulate(
             f"grid; at least {needed} grid points (--grid-points {needed}) resolve it"
         )
 
-    ground0, excited0 = init_gaussian(spec, grid)
     n0 = np.abs(ground0) ** 2 + np.abs(excited0) ** 2
     norm = float(n0.sum() * dp)
     mean_p0 = float((n0 * p).sum() * dp)

@@ -21,34 +21,6 @@ from .constants import HBAR, U_ROUNDED, mass_to_si
 from .dynamics import WavepacketSpec, average_speed
 from .errors import MIN_MASS_KG, DomainError, check_fraction, check_time
 
-# Atomic-number ranges of the speed-ladder groups, lightest to heaviest.
-LADDER_GROUPS: tuple[tuple[str, int, int], ...] = (
-    ("H-He", 1, 2),
-    ("Li-F", 3, 9),
-    ("Ne-Ar", 10, 18),
-    ("K-Kr", 19, 36),
-    ("Rb-Xe", 37, 54),
-    ("Cs-Rn", 55, 86),
-    ("Fr-U", 87, 92),
-)
-
-_ELEMENT_NUMBERS = {
-    "H": 1, "He": 2, "Li": 3, "Be": 4, "B": 5, "C": 6, "N": 7, "O": 8, "F": 9,
-    "Ne": 10, "Na": 11, "Mg": 12, "Al": 13, "Si": 14, "P": 15, "S": 16,
-    "Cl": 17, "Ar": 18, "K": 19, "Ca": 20, "Sc": 21, "Ti": 22, "V": 23,
-    "Cr": 24, "Mn": 25, "Fe": 26, "Co": 27, "Ni": 28, "Cu": 29, "Zn": 30,
-    "Ga": 31, "Ge": 32, "As": 33, "Se": 34, "Br": 35, "Kr": 36, "Rb": 37,
-    "Sr": 38, "Y": 39, "Zr": 40, "Nb": 41, "Mo": 42, "Tc": 43, "Ru": 44,
-    "Rh": 45, "Pd": 46, "Ag": 47, "Cd": 48, "In": 49, "Sn": 50, "Sb": 51,
-    "Te": 52, "I": 53, "Xe": 54, "Cs": 55, "Ba": 56, "La": 57, "Ce": 58,
-    "Pr": 59, "Nd": 60, "Pm": 61, "Sm": 62, "Eu": 63, "Gd": 64, "Tb": 65,
-    "Dy": 66, "Ho": 67, "Er": 68, "Tm": 69, "Yb": 70, "Lu": 71, "Hf": 72,
-    "Ta": 73, "W": 74, "Re": 75, "Os": 76, "Ir": 77, "Pt": 78, "Au": 79,
-    "Hg": 80, "Tl": 81, "Pb": 82, "Bi": 83, "Po": 84, "At": 85, "Rn": 86,
-    "Fr": 87, "Ra": 88, "Ac": 89, "Th": 90, "Pa": 91, "U": 92,
-}
-
-
 @dataclass(frozen=True)
 class MixtureMember:
     """One species in the mixture; the excited fraction is 1 - ground_fraction."""
@@ -201,32 +173,3 @@ def separation_report(
         time_required=np.array(time_required, dtype=float),  # None becomes NaN
     )
 
-
-def _element_symbol(name: str) -> str:
-    symbol = name.split("-", 1)[0].strip()
-    if symbol not in _ELEMENT_NUMBERS:
-        raise DomainError(f"unknown element symbol in species name {name!r}")
-    return symbol
-
-
-def speed_ladder(
-    catalog: Catalog, amu: float = U_ROUNDED
-) -> list[tuple[str, float, tuple[str, ...]]]:
-    """Mean ground-state speed per ladder group, lightest group first.
-
-    Groups with no catalog members are omitted. Individual members may
-    cross group boundaries (a heavy atom on a short transition can outrun
-    a lighter one), but the group means step monotonically downward.
-    """
-    table = speed_table(catalog, amu)
-    ladder = []
-    for label, z_lo, z_hi in LADDER_GROUPS:
-        members = tuple(
-            sp.name
-            for sp in catalog
-            if z_lo <= _ELEMENT_NUMBERS[_element_symbol(sp.name)] <= z_hi
-        )
-        if members:
-            mean = sum(table[name] for name in members) / len(members)
-            ladder.append((label, mean, members))
-    return ladder

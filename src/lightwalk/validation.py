@@ -225,9 +225,11 @@ def check_conservation() -> CheckResult:
 
     p = rng.uniform(-10.0 * recoil, 10.0 * recoil, size=10_000)
     low, high = dressed_frequencies(p, field, mass_kg)
-    shift = block_detuning(p, field, mass_kg)
-    trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
-    split = effective_rabi(shift, field.rabi)
+    # reference from the bare frequencies, not from the dressed frame under test
+    w_ground = kinetic_frequency(p, mass_kg)
+    w_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
+    trace = w_ground + w_excited
+    split = np.hypot(w_excited - w_ground, field.rabi)
     sum_err = float(np.abs((low + high - trace) / trace).max())
     diff_err = float(np.abs((high - low - split) / split).max())
 

@@ -291,6 +291,9 @@ def test_non_finite_result_exits_4(argv, capsys):
         (["simulate", "--species", "Mg-24", "--t-max", "1e300"], "rounding error"),
         (["simulate", "--species", "Mg-24", "--omega", "1e300", "--t-max", "1e-6"],
          "rounding error"),
+        # once exited 0 with a final pop_excited of 0.0414, against 0.0351 at 4096 points
+        (["simulate", "--species", "Mg-24", "--t-max", "2e-6", "--delta", "3e6", "--pc-hbark",
+          "0.3", "--pi-hbark", "0.5", "--steps", "4", "--grid-points", "5"], "too coarse"),
     ],
 )
 def test_simulate_refuses_runs_the_grid_or_float_phase_cannot_resolve(argv, reason, capsys):
@@ -306,6 +309,18 @@ def test_aliasing_refusal_names_the_grid_points_that_suffice(capsys):
     code, out = run([*argv, "--grid-points", str(needed)])
     assert code == EXIT_OK
     assert len(rows_of(out)[1]) == 21
+
+
+def test_a_coarse_grid_is_refused_before_the_aliasing_horizon_names_one(capsys):
+    # a 2-point grid once got the advice --grid-points 4, itself too coarse for the packet
+    argv = ["simulate", "--species", "Mg-24", "--delta", "3e6", "--pc-hbark", "0.3",
+            "--pi-hbark", "0.5", "--steps", "4"]
+    assert run([*argv, "--t-max", "2e-6", "--grid-points", "2"]) == (EXIT_DOMAIN, "")
+    assert "too coarse" in capsys.readouterr().err
+    argv += ["--t-max", "1.3e-5"]
+    assert run([*argv, "--grid-points", "16"]) == (EXIT_DOMAIN, "")
+    needed = re.search(r"--grid-points (\d+)", capsys.readouterr().err).group(1)
+    assert run([*argv, "--grid-points", needed])[0] == EXIT_OK
 
 
 def test_center_momentum_beside_which_the_width_vanishes_is_named(capsys):

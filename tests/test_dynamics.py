@@ -204,9 +204,11 @@ def test_dressed_frequency_identities(p_hbark):
     field = resonant_field(rabi=7.7e5)
     p = p_hbark * HBAR * wavenumber(RB87_WAVELENGTH)
     low, high = dressed_frequencies(p, field, RB87_MASS)
-    shift = block_detuning(p, field, RB87_MASS)
-    split = effective_rabi(shift, field.rabi)
-    trace = 2 * p**2 / (2 * RB87_MASS * HBAR) + shift
+    # reference from the bare frequencies, not from the dressed frame under test
+    w_ground = p**2 / (2 * RB87_MASS * HBAR)
+    w_excited = field.detuning + (p + field.recoil_momentum) ** 2 / (2 * RB87_MASS * HBAR)
+    trace = w_ground + w_excited
+    split = math.hypot(w_excited - w_ground, field.rabi)
     assert high - low == pytest.approx(split, rel=1e-12)
     assert high + low == pytest.approx(trace, rel=1e-12, abs=1e-12 * abs(split))
 
@@ -425,6 +427,14 @@ def test_init_gaussian_coverage_error():
     narrow = MomentumGrid.for_packet(spec, half_span=3.0, n_points=256)
     with pytest.raises(DomainError):
         init_gaussian(spec, narrow)
+
+
+def test_init_gaussian_refuses_a_grid_too_coarse_for_the_packet():
+    # at +-6 widths the discrete norm is off by 2.9e-6 at 15 points and 4.0e-7 at 16
+    spec = packet()
+    with pytest.raises(DomainError, match="too coarse"):
+        init_gaussian(spec, MomentumGrid.for_packet(spec, n_points=15))
+    init_gaussian(spec, MomentumGrid.for_packet(spec, n_points=16))
 
 
 @pytest.mark.parametrize("width_hbark", [1e-140, 4e180, 1e181, 1e200])

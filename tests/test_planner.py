@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lightwalk import (
-    CATALOG_HEADER,
     HBAR,
     Catalog,
     DomainError,
@@ -21,11 +20,9 @@ from lightwalk import (
     member_speed,
     packet_width,
     pairwise_gap,
-    parse_catalog,
     propagate,
     rk4_propagate,
     separation_report,
-    speed_ladder,
     speed_table,
 )
 from lightwalk.planner import _time_to_resolve
@@ -253,19 +250,3 @@ def test_time_required_none_when_spreading_wins():
     assert math.isnan(report.time_required[0])
     assert not report.resolvable[0]
 
-
-def test_speed_ladder_group_means_descend():
-    ladder = speed_ladder(CATALOG)
-    labels = [label for label, _, _ in ladder]
-    assert labels == ["Li-F", "Ne-Ar", "K-Kr", "Rb-Xe", "Cs-Rn", "Fr-U"]
-    means = [mean for _, mean, _ in ladder]
-    assert all(a > b for a, b in zip(means, means[1:]))
-    members_by_label = {label: names for label, _, names in ladder}
-    assert "Li-7" in members_by_label["Li-F"]
-    assert members_by_label["Fr-U"] == ("U-238",)
-
-
-def test_speed_ladder_rejects_unknown_symbols():
-    bogus = parse_catalog(CATALOG_HEADER + "\nQq-1,1.0,label,500.0\n")
-    with pytest.raises(DomainError):
-        speed_ladder(bogus)
