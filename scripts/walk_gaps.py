@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lightwalk import MixtureMember, embedded_table1, pairwise_gap, speed_table
+from lightwalk import embedded_table1, pairwise_gap, speed_table
 
 
 def write_panel(path: Path, names, times, speeds):
@@ -44,7 +44,7 @@ def main() -> int:
 
     for a, b, t in (("Mg-24", "Mg-25", 42e-6), ("Mg-25", "Mg-26", 42e-6),
                     ("Rb-85", "Rb-87", 500e-6), ("U-238", "Yb-173", 30e-6)):
-        gap = pairwise_gap(MixtureMember(catalog.get(a)), MixtureMember(catalog.get(b)), t)
+        gap = pairwise_gap(catalog.get(a), catalog.get(b), t)
         print(f"{a} vs {b} after {t * 1e6:g} us: gap {gap * 1e9:.2f} nm")
     return 0
 

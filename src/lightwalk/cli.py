@@ -27,7 +27,7 @@ from .dynamics import (
     simulate,
 )
 from .errors import CatalogError, DomainError, check_fraction
-from .planner import MixtureMember, separation_report, speed_table
+from .planner import separation_report, speed_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -235,10 +235,11 @@ def _cmd_separate(args: argparse.Namespace) -> str:
         raise UsageError("separate needs at least two species names")
     if len(set(names)) < len(names):
         raise UsageError(f"species names repeat in --pair {args.pair!r}")
-    members = [MixtureMember(_species(catalog, n), args.c0sq) for n in names]
-    mean_k = sum(wavenumber(m.species.wavelength_nm * 1e-9) for m in members) / len(members)
+    species = [_species(catalog, n) for n in names]
+    mean_k = sum(wavenumber(sp.wavelength_nm * 1e-9) for sp in species) / len(species)
     momentum_width = args.pi_hbark * HBAR * mean_k
-    report = separation_report(members, args.t, args.kappa, momentum_width, amu)
+    report = separation_report(species, args.t, args.kappa, momentum_width, amu,
+                               ground_fraction=args.c0sq)
     names = np.array(report.names)
     t_required = report.time_required  # NaN, printed empty, where the pair never resolves
     return _table(

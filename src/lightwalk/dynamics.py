@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Species
-from .constants import HBAR, U_ROUNDED, mass_to_si, wavenumber
-from .errors import DomainError, check_fraction, check_mass_kg, check_time
+from .constants import HBAR, wavenumber
+from .errors import DomainError, check_mass_kg, check_time
 
 _NORM_TOL = 1e-12
 # simulate refuses runs whose largest phase S t_max carries a rounding error
@@ -262,11 +261,11 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
     The envelope is normalized to unit norm on the grid. Raises
     :class:`DomainError` when the grid truncates more than 1e-6 of
     the packet's norm (grids should span the center +-5 widths), when
-    the width is so extreme that the squared grid offsets overflow,
-    or the envelope over- or underflows so that its norm is not finite
-    and positive, and when the grid is too coarse to resolve the packet:
-    its discrete norm sum |env|^2 dp is off from width sqrt(pi) by more
-    than the same 1e-6 (at +-6 widths, 15 points or fewer).
+    the width is so extreme that its square over- or underflows or the
+    squared grid offsets overflow, and when the grid is too coarse to
+    resolve the packet: its discrete norm sum |env|^2 dp is off from
+    width sqrt(pi) by more than the same 1e-6 (at +-6 widths, 15 points
+    or fewer; an envelope that is 0 on every grid point is off by 1).
     """
     pc, width = spec.center_momentum, spec.momentum_width
     tail = 0.5 * (
@@ -279,20 +278,21 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
         )
     p = grid.points()
     # float_power is the C pow of width**2 but overflows to inf instead of raising;
-    # an offset whose square overflows (the envelope is then zeroed there) and an
-    # envelope that over- or underflows are refused below
+    # a square that overflows or underflows is refused below, while an envelope
+    # that is 0 on every point of a healthy grid is a grid too coarse for the packet
     with np.errstate(all="ignore"):
         offset_sq = (p - pc) ** 2
-        envelope = np.exp(-offset_sq / (2.0 * np.float_power(width, 2))).astype(complex)
+        width_sq = np.float_power(width, 2)
+        envelope = np.exp(-offset_sq / (2.0 * width_sq)).astype(complex)
         sum_sq = float((np.abs(envelope) ** 2).sum())
         norm = math.sqrt(sum_sq * grid.spacing)
-    if not (np.isfinite(offset_sq).all() and math.isfinite(norm) and norm > 0.0):
+    if not (np.isfinite(offset_sq).all() and 0.0 < width_sq < math.inf):
         raise DomainError(
             f"momentum width {width:g} is out of float range: on the grid the squared "
             f"offsets reach {offset_sq.max():g} and the packet envelope has norm {norm:g}"
         )
     resolution = abs(sum_sq * (grid.spacing / width) / math.sqrt(math.pi) - 1.0)
-    if resolution > 1e-6:
+    if not resolution <= 1e-6:
         raise DomainError(
             f"{grid.n_points} grid points are too coarse for the packet (width {width:g}, "
             f"spacing {grid.spacing:g}): its discrete norm is off by {resolution:.2e}"
@@ -432,24 +432,3 @@ def closed_form_velocity(t, spec: WavepacketSpec, field: LightField, mass_kg: fl
     drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
     v = spec.center_momentum / mass_kg + drift * (1.0 - np.cos(field.rabi * t))
     return float(v) if np.ndim(v) == 0 else v
-
-
-def average_speed(
-    species: Species,
-    ground_fraction: float = 1.0,
-    *,
-    center_momentum: float = 0.0,
-    amu: float = U_ROUNDED,
-) -> float:
-    """Rabi-period-averaged drift speed of a species.
-
-    v = pc / M + (n0 - n1) hbar k / (2 M) with n0 = ``ground_fraction`` and
-    n1 = 1 - n0; for a ground-state atom at rest this is h / (2 M wavelength).
-    """
-    check_fraction(ground_fraction)
-    mass_kg = mass_to_si(species.mass_u, amu)
-    k = wavenumber(species.wavelength_nm * 1e-9)
-    return (
-        center_momentum / mass_kg
-        + (ground_fraction - (1.0 - ground_fraction)) * HBAR * k / (2.0 * mass_kg)
-    )

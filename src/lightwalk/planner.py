@@ -11,34 +11,22 @@ resolvable.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import Catalog, Species
-from .constants import HBAR, U_ROUNDED, mass_to_si
-from .dynamics import WavepacketSpec, average_speed
+from .constants import HBAR, U_ROUNDED, mass_to_si, wavenumber
+from .dynamics import WavepacketSpec
 from .errors import MIN_MASS_KG, DomainError, check_fraction, check_time
-
-@dataclass(frozen=True)
-class MixtureMember:
-    """One species in the mixture; the excited fraction is 1 - ground_fraction."""
-
-    species: Species
-    ground_fraction: float = 1.0
-    _: KW_ONLY
-    center_momentum: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_fraction(self.ground_fraction)
 
 
 @dataclass(frozen=True)
 class SeparationReport:
     """Per-pair columns; ``time_required`` is NaN where the pair never resolves.
 
-    ``pairs`` holds each pair's member indices ``(a, b)`` in ``np.triu_indices`` order.
+    ``pairs`` holds each pair's species indices ``(a, b)`` in ``np.triu_indices`` order.
     """
 
     names: tuple[str, ...]
@@ -51,33 +39,37 @@ class SeparationReport:
     time_required: np.ndarray
 
 
+def average_speed(
+    species: Species, ground_fraction: float = 1.0, *, amu: float = U_ROUNDED
+) -> float:
+    """Rabi-period-averaged drift speed of a species at rest.
+
+    v = (n0 - n1) hbar k / (2 M) with n0 = ``ground_fraction`` and
+    n1 = 1 - n0; for a ground-state atom this is h / (2 M wavelength).
+    """
+    check_fraction(ground_fraction)
+    mass_kg = mass_to_si(species.mass_u, amu)
+    k = wavenumber(species.wavelength_nm * 1e-9)
+    return (ground_fraction - (1.0 - ground_fraction)) * HBAR * k / (2.0 * mass_kg)
+
+
 def speed_table(catalog: Catalog, amu: float = U_ROUNDED) -> dict[str, float]:
     """Ground-state drift speed h/(2 M wavelength) by name, in catalog order."""
     return {sp.name: average_speed(sp, amu=amu) for sp in catalog}
 
 
-def member_speed(member: MixtureMember, amu: float = U_ROUNDED) -> float:
-    return average_speed(
-        member.species,
-        member.ground_fraction,
-        center_momentum=member.center_momentum,
-        amu=amu,
-    )
-
-
 def pairwise_gap(
-    a: MixtureMember,
-    b: MixtureMember,
-    t: float,
-    amu: float = U_ROUNDED,
+    a: Species, b: Species, t: float, *, ground_fraction: float = 1.0, amu: float = U_ROUNDED
 ) -> float:
     """Displacement gap |v_a - v_b| t from the period-averaged speeds.
 
-    The sub-wavelength intra-period wiggle is deliberately ignored; the
+    Both species start at rest with the same ``ground_fraction``. The
+    sub-wavelength intra-period wiggle is deliberately ignored; the
     coherent-dynamics module resolves it when needed.
     """
     check_time(t)
-    return abs(member_speed(a, amu) - member_speed(b, amu)) * t
+    speed_a = average_speed(a, ground_fraction, amu=amu)
+    return abs(speed_a - average_speed(b, ground_fraction, amu=amu)) * t
 
 
 def packet_width(spec: WavepacketSpec, mass_kg: float, t: float) -> float:
@@ -139,27 +131,31 @@ def _time_to_resolve(
 
 
 def separation_report(
-    mixture: Sequence[MixtureMember],
+    species: Sequence[Species],
     t: float,
     kappa: float = 2.0,
     momentum_width: float = 1e-28,
     amu: float = U_ROUNDED,
+    *,
+    ground_fraction: float = 1.0,
 ) -> SeparationReport:
     """Gap-versus-width verdict for every unordered pair of the mixture.
 
-    A pair is resolvable at time t when its displacement gap is at least
+    Every species starts at rest with the same ``ground_fraction``. A pair
+    is resolvable at time t when its displacement gap is at least
     ``kappa`` times the summed packet widths; ``time_required`` is the
     smallest such time (NaN when spreading always wins).
     """
-    if len(mixture) < 2:
+    check_fraction(ground_fraction)
+    if len(species) < 2:
         raise DomainError("mixture needs at least 2 members")
     if not 0 < kappa < math.inf:
         raise DomainError(f"kappa must be finite and positive, got {kappa}")
 
-    masses = [mass_to_si(m.species.mass_u, amu) for m in mixture]
-    speeds = np.array([member_speed(m, amu) for m in mixture])
+    masses = [mass_to_si(sp.mass_u, amu) for sp in species]
+    speeds = np.array([average_speed(sp, ground_fraction, amu=amu) for sp in species])
     widths = np.array([_width_at(momentum_width, m, t) for m in masses])  # checks t, width
-    a, b = np.triu_indices(len(mixture), 1)
+    a, b = np.triu_indices(len(species), 1)
     speed_gap = np.abs(speeds[a] - speeds[b])
     gap = speed_gap * t
     time_required = [
@@ -167,9 +163,8 @@ def separation_report(
         for dv, i, j in zip(speed_gap.tolist(), a.tolist(), b.tolist())
     ]
     return SeparationReport(
-        names=tuple(m.species.name for m in mixture), pairs=np.column_stack((a, b)),
+        names=tuple(sp.name for sp in species), pairs=np.column_stack((a, b)),
         speed_gap=speed_gap, gap=gap, width_a=widths[a], width_b=widths[b],
         resolvable=gap >= kappa * (widths[a] + widths[b]),
         time_required=np.array(time_required, dtype=float),  # None becomes NaN
     )
-

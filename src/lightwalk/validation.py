@@ -23,7 +23,6 @@ from .dynamics import (
     LightField,
     MomentumGrid,
     WavepacketSpec,
-    average_speed,
     block_detuning,
     closed_form_displacement,
     dressed_frequencies,
@@ -34,7 +33,7 @@ from .dynamics import (
 )
 from .errors import CatalogError
 from .oracle import evolve_block_numeric
-from .planner import MixtureMember, pairwise_gap
+from .planner import average_speed, pairwise_gap
 
 # Reference speed column of the embedded dataset, m/s, keyed by species.
 # The published Eu-153 entry does not follow from its own printed mass and
@@ -248,11 +247,6 @@ def check_figure3_gaps() -> CheckResult:
     """Desk-scale displacement gaps from the period-averaged speeds."""
     catalog = embedded_table1()
 
-    def gap(name_a: str, name_b: str, t: float) -> float:
-        return pairwise_gap(
-            MixtureMember(catalog.get(name_a)), MixtureMember(catalog.get(name_b)), t
-        )
-
     cases = [
         ("Mg-24", "Mg-25", 42e-6, 48.8e-9, 0.5e-9),
         ("U-238", "Yb-173", 30e-6, 7.8e-9, 0.2e-9),
@@ -261,7 +255,7 @@ def check_figure3_gaps() -> CheckResult:
     passed = True
     parts = []
     for name_a, name_b, t, expected, tol in cases:
-        value = gap(name_a, name_b, t)
+        value = pairwise_gap(catalog.get(name_a), catalog.get(name_b), t)
         ok = abs(value - expected) <= tol
         passed = passed and ok
         parts.append(f"{name_a}/{name_b}@{t * 1e6:g}us = {value * 1e9:.2f} nm")

@@ -18,7 +18,7 @@ import pytest
 from lightwalk import validation
 from lightwalk.catalog import CATALOG_HEADER, embedded_table1
 from lightwalk.constants import H_PLANCK, U_ROUNDED
-from lightwalk.dynamics import average_speed
+from lightwalk.planner import average_speed
 from lightwalk.errors import CatalogError
 
 _CHECKS = dict(validation.ALL_CHECKS)

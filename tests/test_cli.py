@@ -294,6 +294,9 @@ def test_non_finite_result_exits_4(argv, capsys):
         # once exited 0 with a final pop_excited of 0.0414, against 0.0351 at 4096 points
         (["simulate", "--species", "Mg-24", "--t-max", "2e-6", "--delta", "3e6", "--pc-hbark",
           "0.3", "--pi-hbark", "0.5", "--steps", "4", "--grid-points", "5"], "too coarse"),
+        # an envelope that is 0 on both points was blamed on an ordinary width
+        (["simulate", "--species", "Mg-24", "--t-max", "1e-5", "--grid-points", "2",
+          "--grid-span", "40"], "off by 1.00e+00"),
     ],
 )
 def test_simulate_refuses_runs_the_grid_or_float_phase_cannot_resolve(argv, reason, capsys):

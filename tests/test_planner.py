@@ -9,15 +9,14 @@ from lightwalk import (
     Catalog,
     DomainError,
     LightField,
-    MixtureMember,
     Species,
     WavepacketSpec,
+    average_speed,
     closed_form_displacement,
     closed_form_velocity,
     embedded_table1,
     evolve_block_numeric,
     mass_to_si,
-    member_speed,
     packet_width,
     pairwise_gap,
     propagate,
@@ -30,19 +29,22 @@ from lightwalk.planner import _time_to_resolve
 CATALOG = embedded_table1()
 
 
-def member(name, ground=1.0, p_c=0.0):
-    return MixtureMember(CATALOG.get(name), ground, center_momentum=p_c)
+species = CATALOG.get
 
 
-def test_member_validation():
-    with pytest.raises(DomainError):
-        MixtureMember(CATALOG.get("Li-7"), 1.4)
-    with pytest.raises(DomainError):
-        MixtureMember(CATALOG.get("Li-7"), -0.4)
+def test_ground_fraction_validation():
+    li, c = species("Li-7"), species("C-12")
+    for fraction in (1.4, -0.4, math.nan):
+        with pytest.raises(DomainError, match="ground fraction"):
+            average_speed(li, fraction)
+        with pytest.raises(DomainError, match="ground fraction"):
+            pairwise_gap(li, c, 1e-6, ground_fraction=fraction)
+        with pytest.raises(DomainError, match="ground fraction"):
+            separation_report([li, c], 1e-6, ground_fraction=fraction)
     # the excited fraction is derived; an old (ground, excited) call must not
-    # bind the excited fraction to the center momentum
+    # bind the excited fraction to a later parameter
     with pytest.raises(TypeError):
-        MixtureMember(CATALOG.get("Li-7"), 0.3, 0.7)
+        average_speed(li, 0.3, 0.7)
 
 
 def test_speed_table_values():
@@ -82,26 +84,26 @@ def test_speed_table_order_follows_catalog():
     assert list(backward) == list(reversed_catalog.names())
 
 
-def test_member_speed_population_flip():
-    ground = member_speed(member("Rb-87"))
-    inverted = member_speed(member("Rb-87", ground=0.0))
+def test_average_speed_population_flip():
+    ground = average_speed(species("Rb-87"))
+    inverted = average_speed(species("Rb-87"), 0.0)
     assert inverted == pytest.approx(-ground, rel=1e-12)
 
 
 def test_pairwise_gap_reference_values():
-    assert pairwise_gap(member("Mg-24"), member("Mg-25"), 42e-6) == pytest.approx(
+    assert pairwise_gap(species("Mg-24"), species("Mg-25"), 42e-6) == pytest.approx(
         48.8e-9, abs=0.5e-9
     )
-    assert pairwise_gap(member("U-238"), member("Yb-173"), 30e-6) == pytest.approx(
+    assert pairwise_gap(species("U-238"), species("Yb-173"), 30e-6) == pytest.approx(
         7.8e-9, abs=0.2e-9
     )
-    assert pairwise_gap(member("Rb-85"), member("Rb-87"), 500e-6) == pytest.approx(
+    assert pairwise_gap(species("Rb-85"), species("Rb-87"), 500e-6) == pytest.approx(
         34.4e-9, abs=0.5e-9
     )
 
 
 def test_pairwise_gap_basic_properties():
-    a, b = member("Li-7"), member("C-12")
+    a, b = species("Li-7"), species("C-12")
     assert pairwise_gap(a, b, 1e-5) == pairwise_gap(b, a, 1e-5)
     assert pairwise_gap(a, a, 3.0) == 0.0
     assert pairwise_gap(a, b, 0.0) == 0.0
@@ -111,7 +113,7 @@ def test_pairwise_gap_basic_properties():
 
 @given(st.floats(min_value=1e-9, max_value=1.0), st.floats(min_value=1.0, max_value=64.0))
 def test_pairwise_gap_linear_in_time(t, factor):
-    a, b = member("Mg-24"), member("Mg-26")
+    a, b = species("Mg-24"), species("Mg-26")
     assert pairwise_gap(a, b, factor * t) == pytest.approx(
         factor * pairwise_gap(a, b, t), rel=1e-12
     )
@@ -133,7 +135,7 @@ def test_packet_width_limits():
 
 
 def test_separation_report_shape_and_flags():
-    mixture = [member("Li-7"), member("C-12"), member("Mg-24")]
+    mixture = [species("Li-7"), species("C-12"), species("Mg-24")]
     report = separation_report(mixture, t=42e-6, kappa=2.0, momentum_width=1.7152e-28)
     assert len(report.pairs) == 3
     names = [(report.names[a], report.names[b]) for a, b in report.pairs]
@@ -143,7 +145,7 @@ def test_separation_report_shape_and_flags():
 
 
 def test_separation_report_identical_species():
-    mixture = [member("Mg-24"), member("Mg-24", p_c=0.0)]
+    mixture = [species("Mg-24"), species("Mg-24")]
     report = separation_report(mixture, t=1.0, kappa=2.0, momentum_width=1e-28)
     assert report.gap[0] == 0.0
     assert not report.resolvable[0]
@@ -151,43 +153,45 @@ def test_separation_report_identical_species():
 
 
 def test_separation_report_columns_equal_the_per_pair_scalar_path():
-    mixture = [MixtureMember(sp) for sp in CATALOG]
+    mixture = list(CATALOG)
     t, kappa, momentum_width = 1e-4, 2.0, 9e-29
-    report = separation_report(mixture, t, kappa, momentum_width)
     spec = WavepacketSpec(0.0, momentum_width)
-    masses = [mass_to_si(m.species.mass_u) for m in mixture]
+    masses = [mass_to_si(sp.mass_u) for sp in mixture]
     n = len(mixture)
-    assert [tuple(pair) for pair in report.pairs] == [
-        (a, b) for a in range(n) for b in range(a + 1, n)
-    ]
-    never = 0
-    for k, (a, b) in enumerate(report.pairs.tolist()):
-        assert report.names[a] == mixture[a].species.name
-        speed_gap = pairwise_gap(mixture[a], mixture[b], 1.0)
-        gap = pairwise_gap(mixture[a], mixture[b], t)
-        width_a = packet_width(spec, masses[a], t)
-        width_b = packet_width(spec, masses[b], t)
-        assert report.speed_gap[k] == speed_gap
-        assert report.gap[k] == gap
-        assert report.width_a[k] == width_a
-        assert report.width_b[k] == width_b
-        assert report.resolvable[k] == (gap >= kappa * (width_a + width_b))
-        expected = _time_to_resolve(speed_gap, masses[a], masses[b], kappa, momentum_width)
-        if expected is None:
-            never += 1
-            assert math.isnan(report.time_required[k])
-        else:
-            assert report.time_required[k] == expected
-    assert 0 < never < len(report.pairs)
+    for ground_fraction in (1.0, 0.25):
+        report = separation_report(mixture, t, kappa, momentum_width,
+                                   ground_fraction=ground_fraction)
+        assert [tuple(pair) for pair in report.pairs] == [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+        ]
+        never = 0
+        for k, (a, b) in enumerate(report.pairs.tolist()):
+            assert report.names[a] == mixture[a].name
+            speed_gap = pairwise_gap(mixture[a], mixture[b], 1.0, ground_fraction=ground_fraction)
+            gap = pairwise_gap(mixture[a], mixture[b], t, ground_fraction=ground_fraction)
+            width_a = packet_width(spec, masses[a], t)
+            width_b = packet_width(spec, masses[b], t)
+            assert report.speed_gap[k] == speed_gap
+            assert report.gap[k] == gap
+            assert report.width_a[k] == width_a
+            assert report.width_b[k] == width_b
+            assert report.resolvable[k] == (gap >= kappa * (width_a + width_b))
+            expected = _time_to_resolve(speed_gap, masses[a], masses[b], kappa, momentum_width)
+            if expected is None:
+                never += 1
+                assert math.isnan(report.time_required[k])
+            else:
+                assert report.time_required[k] == expected
+        assert 0 < never < len(report.pairs)
 
 
 _SPEC = WavepacketSpec(center_momentum=0.0, momentum_width=1e-28)
 _FIELD = LightField(780e-9, rabi=1e6, detuning=0.0, direction=1)
 _MASS = mass_to_si(CATALOG.get("Rb-87").mass_u)
 _TIMED_CALLS = {
-    "pairwise_gap": lambda t: pairwise_gap(member("Li-7"), member("C-12"), t),
+    "pairwise_gap": lambda t: pairwise_gap(species("Li-7"), species("C-12"), t),
     "packet_width": lambda t: packet_width(_SPEC, _MASS, t),
-    "separation_report": lambda t: separation_report([member("Li-7"), member("C-12")], t),
+    "separation_report": lambda t: separation_report([species("Li-7"), species("C-12")], t),
     "closed_form_displacement": lambda t: closed_form_displacement(t, _SPEC, _FIELD, _MASS),
     "closed_form_velocity": lambda t: closed_form_velocity(t, _SPEC, _FIELD, _MASS),
     "propagate": lambda t: propagate(1.0, 0.0, 0.0, _FIELD, _MASS, t),
@@ -206,8 +210,8 @@ def test_time_must_be_finite(name, t):
 
 def test_separation_report_validation():
     with pytest.raises(DomainError):
-        separation_report([member("Li-7")], t=1e-6)
-    mixture = [member("Li-7"), member("C-12")]
+        separation_report([species("Li-7")], t=1e-6)
+    mixture = [species("Li-7"), species("C-12")]
     with pytest.raises(DomainError):
         separation_report(mixture, t=-1.0)
     with pytest.raises(DomainError):
@@ -221,7 +225,7 @@ def test_separation_report_validation():
 def test_time_required_satisfies_defining_equation():
     momentum_width = 1.7152e-28
     kappa = 2.0
-    mixture = [member("Li-7"), member("C-12")]
+    mixture = [species("Li-7"), species("C-12")]
     report = separation_report(mixture, t=1e-6, kappa=kappa, momentum_width=momentum_width)
     time_required = float(report.time_required[0])
     assert not math.isnan(time_required)
@@ -245,7 +249,7 @@ def test_time_required_satisfies_defining_equation():
 def test_time_required_none_when_spreading_wins():
     # a packet this narrow in position space spreads faster than the pair drifts apart
     report = separation_report(
-        [member("Mg-24"), member("Mg-25")], t=42e-6, kappa=2.0, momentum_width=1e-26
+        [species("Mg-24"), species("Mg-25")], t=42e-6, kappa=2.0, momentum_width=1e-26
     )
     assert math.isnan(report.time_required[0])
     assert not report.resolvable[0]
