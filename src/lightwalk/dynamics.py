@@ -74,7 +74,7 @@ class LightField:
         return 2.0 * math.pi / self.rabi if self.rabi > 0 else math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WavepacketSpec:
     """Gaussian initial condition in momentum space.
 
@@ -89,17 +89,26 @@ class WavepacketSpec:
     excited_amp: complex = 0.0 + 0.0j
     initial_position: float = 0.0
 
-    def __post_init__(self) -> None:
-        # chained comparisons, not calls (planner builds a spec per bisection step); NaN fails each
-        if not -math.inf < self.center_momentum < math.inf:
-            raise DomainError(f"center momentum is not finite: {self.center_momentum}")
-        if not 0.0 < self.momentum_width < math.inf:
-            raise DomainError(f"momentum width is not finite and positive: {self.momentum_width}")
-        if not math.isfinite(self.initial_position):
-            raise DomainError(f"initial position must be finite, got {self.initial_position}")
-        total = abs(self.ground_amp) ** 2 + abs(self.excited_amp) ** 2
+    def __init__(self, center_momentum: float, momentum_width: float,
+                 ground_amp: complex = 1.0 + 0.0j, excited_amp: complex = 0.0 + 0.0j,
+                 initial_position: float = 0.0) -> None:
+        # checks, then stores that bypass the frozen __setattr__: the planner builds
+        # two specs per bisection step; chained comparisons, not calls; NaN fails each
+        if not -math.inf < center_momentum < math.inf:
+            raise DomainError(f"center momentum is not finite: {center_momentum}")
+        if not 0.0 < momentum_width < math.inf:
+            raise DomainError(f"momentum width is not finite and positive: {momentum_width}")
+        if not math.isfinite(initial_position):
+            raise DomainError(f"initial position must be finite, got {initial_position}")
+        total = abs(ground_amp) ** 2 + abs(excited_amp) ** 2
         if not abs(total - 1.0) <= _NORM_TOL:
             raise DomainError(f"internal amplitudes must be normalized, got norm {total}")
+        fields = self.__dict__
+        fields["center_momentum"] = center_momentum
+        fields["momentum_width"] = momentum_width
+        fields["ground_amp"] = ground_amp
+        fields["excited_amp"] = excited_amp
+        fields["initial_position"] = initial_position
 
     @property
     def population_difference(self) -> float:
@@ -335,8 +344,13 @@ def simulate(
         raise DomainError("need at least two sample times")
     if times[0] != 0.0:
         raise DomainError("sample times must start at 0")
-    if not np.all(np.diff(times) > 0):
-        raise DomainError("sample times must be strictly increasing")
+    stalled = np.flatnonzero(~(np.diff(times) > 0))
+    if len(stalled):
+        i = int(stalled[0]) + 1  # linspace can round a sample onto its neighbour
+        raise DomainError(
+            f"sample times must be strictly increasing: times[{i}] = {float(times[i])!r} s "
+            f"does not follow times[{i - 1}] = {float(times[i - 1])!r} s"
+        )
 
     p = grid.points()
     dp = grid.spacing

@@ -123,6 +123,8 @@ def _time_to_resolve(
             return None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: shortfall(lo) < 0 <= shortfall(hi) holds
+            break
         if shortfall(mid) >= 0.0:
             hi = mid
         else:

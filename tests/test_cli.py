@@ -297,6 +297,9 @@ def test_non_finite_result_exits_4(argv, capsys):
         # an envelope that is 0 on both points was blamed on an ordinary width
         (["simulate", "--species", "Mg-24", "--t-max", "1e-5", "--grid-points", "2",
           "--grid-span", "40"], "off by 1.00e+00"),
+        # linspace rounds the middle sample to 0; the refusal once named no sample
+        (["simulate", "--species", "Mg-24", "--t-max", "5e-324", "--steps", "2"],
+         "times[1] = 0.0 s does not follow times[0] = 0.0 s"),
     ],
 )
 def test_simulate_refuses_runs_the_grid_or_float_phase_cannot_resolve(argv, reason, capsys):

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -94,6 +96,49 @@ def test_wavepacket_spec_validation():
         WavepacketSpec(center_momentum=0.0, momentum_width=1e-28, ground_amp=math.nan)
     spec = WavepacketSpec(0.0, 1e-28, ground_amp=0.6, excited_amp=0.8j)
     assert spec.population_difference == pytest.approx(-0.28, rel=1e-12)
+
+
+def test_wavepacket_spec_is_a_frozen_value_with_five_fields():
+    spec = WavepacketSpec(1.5e-28, 1e-28, 0.6, 0.8j, 2e-6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.momentum_width = 2e-28
+    with pytest.raises(DomainError):
+        dataclasses.replace(spec, momentum_width=0.0)
+    assert dataclasses.replace(spec, initial_position=0.0) == WavepacketSpec(
+        1.5e-28, 1e-28, 0.6, 0.8j
+    )
+    assert [f.name for f in dataclasses.fields(WavepacketSpec)] == [
+        "center_momentum", "momentum_width", "ground_amp", "excited_amp", "initial_position"
+    ]
+    twin = WavepacketSpec(center_momentum=1.5e-28, momentum_width=1e-28, ground_amp=0.6,
+                          excited_amp=0.8j, initial_position=2e-6)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != WavepacketSpec(1.5e-28, 1e-28, 0.8, 0.6j, 2e-6)
+    assert WavepacketSpec(0.0, 1e-28) == WavepacketSpec(0.0, 1e-28, 1.0 + 0.0j, 0.0j, 0.0)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert repr(spec) == (
+        "WavepacketSpec(center_momentum=1.5e-28, momentum_width=1e-28, ground_amp=0.6, "
+        "excited_amp=0.8j, initial_position=2e-06)"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((math.nan, 1e-28), "center momentum is not finite: nan"),
+        ((0.0, 0.0), "momentum width is not finite and positive: 0.0"),
+        ((0.0, 1e-28, 1.0, 0.0, math.inf), "initial position must be finite, got inf"),
+        ((0.0, 1e-28, 1.0, 1.0), "internal amplitudes must be normalized, got norm 2.0"),
+        # the refusals run in this order: the first fault is the one named
+        ((math.inf, -1.0, 2.0, 0.0, math.nan), "center momentum is not finite: inf"),
+        ((0.0, -1.0, 2.0, 0.0, math.nan), "momentum width is not finite and positive: -1.0"),
+        ((0.0, 1e-28, 2.0, 0.0, math.nan), "initial position must be finite, got nan"),
+    ],
+)
+def test_wavepacket_spec_refusal_messages(fields, message):
+    with pytest.raises(DomainError) as err:
+        WavepacketSpec(*fields)
+    assert str(err.value) == message
 
 
 def test_momentum_grid():

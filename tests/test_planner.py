@@ -23,6 +23,7 @@ from lightwalk import (
     rk4_propagate,
     separation_report,
     speed_table,
+    wavenumber,
 )
 from lightwalk.planner import _time_to_resolve
 
@@ -244,6 +245,43 @@ def test_time_required_satisfies_defining_equation():
                                 momentum_width=momentum_width)
     assert later.resolvable[0]
     assert not earlier.resolvable[0]
+
+    # the bisection stops once its bracket is two adjacent floats; the plain
+    # 80-step loop must give the same float for every pair
+    def plain_bisection(speed_gap, mass_a, mass_b, width):
+        spec = WavepacketSpec(0.0, width)
+
+        def shortfall(t):
+            return speed_gap * t - kappa * (packet_width(spec, mass_a, t)
+                                            + packet_width(spec, mass_b, t))
+
+        lo, hi = 0.0, 10.0
+        while shortfall(hi) < 0.0:
+            hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if shortfall(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    members = list(CATALOG)
+    rb = [species("Rb-85"), species("Rb-87")]
+    rb_width = 1e-4 * HBAR * sum(wavenumber(sp.wavelength_nm * 1e-9) for sp in rb) / 2
+    cases = [(a, b, momentum_width) for i, a in enumerate(members) for b in members[i + 1:]]
+    cases.append((*rb, rb_width))
+    resolved = []
+    for a, b, width in cases:
+        speed_gap = abs(average_speed(a) - average_speed(b))
+        masses = mass_to_si(a.mass_u), mass_to_si(b.mass_u)
+        t_star = _time_to_resolve(speed_gap, *masses, kappa, width)
+        if t_star is not None:
+            assert t_star == plain_bisection(speed_gap, *masses, width), (a.name, b.name)
+            resolved.append(t_star)
+    assert len(cases) == 277
+    assert len(resolved) == 194  # the others spread faster than they drift apart
+    assert resolved[-1] > 10.0  # Rb-85/Rb-87 at 1e-4 hbar k resolves only after 10 s
 
 
 def test_time_required_none_when_spreading_wins():
