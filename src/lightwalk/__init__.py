@@ -19,17 +19,15 @@ from .constants import (
     wavenumber,
 )
 from .dynamics import (
-    BandStructure,
     LightField,
     MomentumGrid,
     Trajectory,
     WavepacketSpec,
-    band_structure,
+    bare_frequencies,
     block_detuning,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
-    effective_rabi,
     init_gaussian,
     kinetic_frequency,
     propagate,
@@ -57,7 +55,6 @@ __all__ = [
     "CONSTANT_SETS",
     "Catalog",
     "CatalogError",
-    "BandStructure",
     "DomainError",
     "HBAR",
     "H_PLANCK",
@@ -70,13 +67,12 @@ __all__ = [
     "U_ROUNDED",
     "WavepacketSpec",
     "average_speed",
-    "band_structure",
+    "bare_frequencies",
     "block_detuning",
     "block_hamiltonian",
     "closed_form_displacement",
     "closed_form_velocity",
     "dressed_frequencies",
-    "effective_rabi",
     "embedded_table1",
     "evolve_block_numeric",
     "init_gaussian",

@@ -6,9 +6,9 @@ momentum. Each block is solved exactly by dressing it: with the block
 shift d (detuning + Doppler + recoil) and coupling strength W, the
 amplitudes rotate at the effective Rabi frequency sqrt(d^2 + W^2) under a
 common phase set by the block's frequency trace. Gaussian wavepackets,
-their momentum/position expectation values, the dressed band structure
-and the strong-coupling closed forms for the light-induced drift all
-live here.
+their momentum/position expectation values, the bare and dressed
+frequencies of each block and the strong-coupling closed forms for the
+light-induced drift all live here.
 
 All quantities are SI; the only physical constant used is hbar, shared
 by both constant sets.
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import HBAR, wavenumber
-from .errors import DomainError, check_mass_kg, check_time
+from .errors import MAX_ARRAY_LEN, DomainError, check_mass_kg, check_time
 
 _NORM_TOL = 1e-12
 # simulate refuses runs whose largest phase S t_max carries a rounding error
@@ -125,8 +125,8 @@ class MomentumGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise DomainError("grid needs at least 2 points")
+        if not 2 <= self.n_points <= MAX_ARRAY_LEN:
+            raise DomainError(f"grid needs 2 to {MAX_ARRAY_LEN} points, got {self.n_points}")
         if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
             raise DomainError(f"grid bounds are not finite: [{self.p_min}, {self.p_max}]")
         if not self.p_max > self.p_min:
@@ -193,11 +193,6 @@ def block_detuning(p, field: LightField, mass_kg: float):
     return field.detuning + p * k / mass_kg + HBAR * k * k / (2.0 * mass_kg)
 
 
-def effective_rabi(shift, rabi):
-    """Dressed splitting sqrt(shift^2 + rabi^2) of one block."""
-    return np.hypot(shift, rabi)
-
-
 def _block_frame(p, field: LightField, mass_kg: float):
     """Dressed frame (S, trace, 1/S, x, y) of the blocks at momentum p.
 
@@ -206,7 +201,7 @@ def _block_frame(p, field: LightField, mass_kg: float):
     S = 0 is a pure common phase; its limit is 1/S = y = 0 and x = 1.
     """
     shift = block_detuning(p, field, mass_kg)
-    split = effective_rabi(shift, field.rabi)
+    split = np.hypot(shift, field.rabi)
     trace = 2.0 * kinetic_frequency(p, mass_kg) + shift
     moving = split > 0.0
     inv_split = np.where(moving, 1.0 / np.where(moving, split, 1.0), 0.0)
@@ -223,24 +218,15 @@ def dressed_frequencies(p, field: LightField, mass_kg: float):
     return 0.5 * (trace - split), 0.5 * (trace + split)
 
 
-@dataclass(frozen=True)
-class BandStructure:
-    """Dressed vs bare frequency branches sampled over a momentum grid."""
+def bare_frequencies(p, field: LightField, mass_kg: float):
+    """Bare frequency pair (ground, excited) of the block at momentum p.
 
-    p: np.ndarray
-    dressed_low: np.ndarray
-    dressed_high: np.ndarray
-    bare_ground: np.ndarray
-    bare_excited: np.ndarray
-
-
-def band_structure(grid: MomentumGrid, field: LightField, mass_kg: float) -> BandStructure:
-    """Sample dressed and bare branches over the grid (plot-ready)."""
-    p = grid.points()
-    low, high = dressed_frequencies(p, field, mass_kg)
-    bare_ground = kinetic_frequency(p, mass_kg)
-    bare_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
-    return BandStructure(p, low, high, bare_ground, bare_excited)
+    They are the diagonal of the block's frequency matrix: the kinetic rate
+    of |0,p>, and the detuning plus the kinetic rate of |1,p+hbar*k>.
+    Accepts scalar or array p.
+    """
+    ground = kinetic_frequency(p, mass_kg)
+    return ground, field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
 
 
 def propagate(ground0, excited0, p, field: LightField, mass_kg: float, t):

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 
 MIN_MASS_KG = sys.float_info.min
+# the most float64 values an array may hold: numpy refuses more bytes than sys.maxsize
+MAX_ARRAY_LEN = sys.maxsize // 8
 
 
 class DomainError(ValueError):
@@ -30,9 +32,7 @@ class CatalogError(ValueError):
 
 
 def check_time(t):
-    """Return a time finite and >= 0 everywhere: a float as is (fast path), else a float array."""
-    if isinstance(t, float) and 0.0 <= t < math.inf:
-        return t
+    """Return a time finite and >= 0 everywhere, as a float array."""
     times = np.asarray(t, dtype=float)
     bad = ~((0.0 <= times) & (times < math.inf))
     if bad.any():

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import LightField, block_detuning, effective_rabi, kinetic_frequency
+from .dynamics import LightField, bare_frequencies, block_detuning
 from .errors import DomainError, check_time
 
 # resolution bounds for the fastest time scales present in a block
 MAX_RABI_STEP = 0.01  # rabi * dt
-MAX_SPLIT_STEP = 0.02  # effective_rabi * dt
+MAX_SPLIT_STEP = 0.02  # effective Rabi frequency * dt
 MAX_STEPS = 5_000_000  # full RK4 steps per call
 
 
 def block_hamiltonian(p, field: LightField, mass_kg: float) -> np.ndarray:
     """2x2 frequency matrices (rad/s) of the blocks at momenta p, shape (..., 2, 2)."""
-    w_ground = np.asarray(kinetic_frequency(p, mass_kg), dtype=float)
-    w_excited = field.detuning + kinetic_frequency(p + field.recoil_momentum, mass_kg)
-    coupling = np.full_like(w_ground, -0.5 * field.rabi)
+    w_ground, w_excited = bare_frequencies(p, field, mass_kg)
+    coupling = np.full(np.shape(w_ground), -0.5 * field.rabi)
     rows = [np.stack([w_ground, coupling], axis=-1), np.stack([coupling, w_excited], axis=-1)]
     return np.stack(rows, axis=-2).astype(complex)
 
@@ -82,10 +81,10 @@ def evolve_block_numeric(ground0, excited0, p, field: LightField, mass_kg: float
     rabi_step = field.rabi * dt
     if np.any(rabi_step > MAX_RABI_STEP * (1.0 + 1e-12)):
         raise DomainError(f"rabi*dt = {np.max(rabi_step):.3g} exceeds {MAX_RABI_STEP}")
-    split_step = effective_rabi(block_detuning(p, field, mass_kg), field.rabi) * dt
+    split_step = np.hypot(block_detuning(p, field, mass_kg), field.rabi) * dt
     if np.any(split_step > MAX_SPLIT_STEP * (1.0 + 1e-12)):
         raise DomainError(
-            f"effective_rabi*dt = {np.max(split_step):.3g} exceeds {MAX_SPLIT_STEP}"
+            f"effective Rabi frequency * dt = {np.max(split_step):.3g} exceeds {MAX_SPLIT_STEP}"
         )
     y0 = np.stack(np.broadcast_arrays(ground0, excited0), axis=-1)
     y = rk4_propagate(block_hamiltonian(p, field, mass_kg), y0, t, dt)

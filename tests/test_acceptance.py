@@ -10,7 +10,9 @@ reproduces the Eu-153 one at the Eu-152 mass, and the check names exactly
 the Eu-153 row.
 """
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from lightwalk.constants import H_PLANCK, U_ROUNDED
 from lightwalk.planner import average_speed
 from lightwalk.errors import CatalogError
 
-_CHECKS = dict(validation.ALL_CHECKS)
 _RESULTS: dict[str, validation.CheckResult] = {}
 
 CRITERIA = [
@@ -44,7 +45,7 @@ EU152_MASS_U = 151.9217445
 
 def result_for(name: str) -> validation.CheckResult:
     if name not in _RESULTS:
-        _RESULTS[name] = _CHECKS[name]()
+        _RESULTS[name] = validation.ALL_CHECKS[name]()
     return _RESULTS[name]
 
 
@@ -177,3 +178,16 @@ def test_catalog_roundtrip_draws():
             assert 1.0 <= float(mass) < 300.0 and 100.0 <= float(wavelength) < 2000.0
     _, again = validation._random_catalogs(np.random.default_rng(7), count)
     assert list(again) == texts
+
+
+def test_every_list_of_check_names_agrees():
+    # the order validate runs, the --only choices, the benchmark's traced checks
+    # (read from its source, not imported) and the criteria here
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    check_names = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CHECK_NAMES"
+    )
+    ran = [result.name for result in validation.run_checks()]
+    assert ran == list(validation.ALL_CHECKS) == list(check_names) == CRITERIA

@@ -307,6 +307,15 @@ def test_simulate_refuses_runs_the_grid_or_float_phase_cannot_resolve(argv, reas
     assert reason in capsys.readouterr().err
 
 
+def test_a_grid_whose_points_all_miss_the_packet_is_too_coarse(capsys):
+    # the fault is the grid, not a packet width out of float range
+    argv = ["simulate", "--species", "Mg-24", "--t-max", "1e-5", "--grid-points", "2",
+            "--grid-span", "40"]
+    assert run(argv) == (EXIT_DOMAIN, "")
+    err = capsys.readouterr().err
+    assert "too coarse" in err and "out of float range" not in err
+
+
 def test_aliasing_refusal_names_the_grid_points_that_suffice(capsys):
     argv = ["simulate", "--species", "Mg-24", "--t-max", "1e-3", "--steps", "20"]
     assert run([*argv, "--grid-points", "64"]) == (EXIT_DOMAIN, "")
@@ -390,6 +399,24 @@ def test_table_refusal_names_the_first_non_finite_value_in_row_order():
         _table_per_value("a,b,c", *columns)
     assert str(err.value) == str(expected.value)
     assert "(-inf)" in str(err.value)
+
+
+# arrays of 1e15 or more doubles exceed the 47-bit address space, so each run fails
+# at its first allocation; 1e30 is past what numpy can size and is refused before it
+@pytest.mark.parametrize("count", [10**15, 10**30])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--steps"],
+        ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--grid-points"],
+        ["bands", "--species", "Rb-87", "--points"],
+    ],
+)
+def test_a_count_too_large_for_memory_exits_4(argv, count, capsys):
+    assert run([*argv, str(count)]) == (EXIT_DOMAIN, "")
+    err = capsys.readouterr().err
+    assert err.startswith("lightwalk: ") and err.count("\n") == 1
+    assert "Unable to allocate" in err or str(count) in err
 
 
 def test_separate_repeated_name_is_usage_error():

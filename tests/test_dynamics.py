@@ -20,13 +20,12 @@ from lightwalk import (
     MomentumGrid,
     WavepacketSpec,
     average_speed,
-    band_structure,
+    bare_frequencies,
     block_detuning,
     block_hamiltonian,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
-    effective_rabi,
     embedded_table1,
     evolve_block_numeric,
     init_gaussian,
@@ -193,7 +192,7 @@ def test_block_detuning_rejects_bad_mass():
 _PACKET = WavepacketSpec(center_momentum=0.0, momentum_width=1e-28)
 _FIELD = resonant_field()
 _MASS_CALLS = {
-    "band_structure": lambda m: band_structure(MomentumGrid(-1e-27, 1e-27, 16), _FIELD, m),
+    "bare_frequencies": lambda m: bare_frequencies(1e-27, _FIELD, m),
     "block_detuning": lambda m: block_detuning(0.0, _FIELD, m),
     "block_hamiltonian": lambda m: block_hamiltonian(0.0, _FIELD, m),
     "closed_form_displacement": lambda m: closed_form_displacement(1e-6, _PACKET, _FIELD, m),
@@ -227,12 +226,6 @@ def test_mass_must_be_a_finite_normal_float(name, mass_kg):
         _MASS_CALLS[name](mass_kg)
 
 
-def test_effective_rabi_values():
-    assert effective_rabi(0.0, 1e6) == 1e6
-    assert effective_rabi(3.0, 4.0) == pytest.approx(5.0, rel=1e-15)
-    assert effective_rabi(1e6, 1e6) == pytest.approx(math.sqrt(2) * 1e6, rel=1e-15)
-
-
 def test_dressed_frequencies_bare_limit():
     # with no coupling the branches are exactly the bare frequencies
     field = LightField(RB87_WAVELENGTH, rabi=0.0, detuning=5e5)
@@ -262,35 +255,32 @@ def test_band_structure_resonant_gap():
     # grid contains the exact crossing momentum -hbar*k/2 for detuning 0
     recoil = HBAR * wavenumber(RB87_WAVELENGTH)
     field = LightField(RB87_WAVELENGTH, rabi=1e6, detuning=0.0)
-    grid = MomentumGrid(-2 * recoil, 2 * recoil, 161)
-    bands = band_structure(grid, field, RB87_MASS)
-    gaps = bands.dressed_high - bands.dressed_low
+    p = MomentumGrid(-2 * recoil, 2 * recoil, 161).points()
+    low, high = dressed_frequencies(p, field, RB87_MASS)
+    gaps = high - low
     assert gaps.min() == pytest.approx(field.rabi, rel=1e-12)
-    crossing = bands.p[np.argmin(gaps)]
+    crossing = p[np.argmin(gaps)]
     assert crossing == pytest.approx(-recoil / 2, rel=1e-12)
 
 
 def test_band_structure_uncoupled_matches_bare():
     recoil = HBAR * wavenumber(RB87_WAVELENGTH)
     field = LightField(RB87_WAVELENGTH, rabi=0.0, detuning=3e5)
-    grid = MomentumGrid(-2 * recoil, 2 * recoil, 101)
-    bands = band_structure(grid, field, RB87_MASS)
-    assert np.allclose(
-        np.minimum(bands.bare_ground, bands.bare_excited), bands.dressed_low, rtol=1e-12
-    )
-    assert np.allclose(
-        np.maximum(bands.bare_ground, bands.bare_excited), bands.dressed_high, rtol=1e-12
-    )
+    p = MomentumGrid(-2 * recoil, 2 * recoil, 101).points()
+    low, high = dressed_frequencies(p, field, RB87_MASS)
+    bare_ground, bare_excited = bare_frequencies(p, field, RB87_MASS)
+    assert np.allclose(np.minimum(bare_ground, bare_excited), low, rtol=1e-12)
+    assert np.allclose(np.maximum(bare_ground, bare_excited), high, rtol=1e-12)
 
 
 def test_band_structure_detuned_gap_at_rest():
     # detuning equal to minus the recoil rate moves the crossing to p = 0
     recoil = HBAR * wavenumber(RB87_WAVELENGTH)
     field = resonant_field()
-    grid = MomentumGrid(-2 * recoil, 2 * recoil, 161)
-    bands = band_structure(grid, field, RB87_MASS)
-    gaps = bands.dressed_high - bands.dressed_low
-    assert bands.p[np.argmin(gaps)] == pytest.approx(0.0, abs=1e-40)
+    p = MomentumGrid(-2 * recoil, 2 * recoil, 161).points()
+    low, high = dressed_frequencies(p, field, RB87_MASS)
+    gaps = high - low
+    assert p[np.argmin(gaps)] == pytest.approx(0.0, abs=1e-40)
     assert gaps.min() == pytest.approx(field.rabi, rel=1e-12)
 
 
@@ -348,7 +338,7 @@ def test_dressed_frequencies_set_propagate_phases():
     field = resonant_field(rabi=2e6)
     p, g0, e0 = 1e-28, 0.8, 0.6j
     low, high = dressed_frequencies(p, field, RB87_MASS)
-    split = effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi)
+    split = np.hypot(block_detuning(p, field, RB87_MASS), field.rabi)
     assert high - low == pytest.approx(split, rel=1e-12)
     # after one beat period the block returns up to the common trace phase
     t = 2 * math.pi / split
@@ -668,7 +658,7 @@ def test_simulate_matches_per_time_propagate(case):
     spec, field, times = CLOSED_FORM_CASES[case]
     grid = MomentumGrid.for_packet(spec, n_points=257)
     p = grid.points()
-    assert (effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi) == 0.0).any() == (
+    assert (np.hypot(block_detuning(p, field, RB87_MASS), field.rabi) == 0.0).any() == (
         case == "rabi-zero"
     )
     trajectory = simulate(spec, grid, field, RB87_MASS, times)
@@ -695,7 +685,7 @@ def test_simulate_matches_rk4_on_a_small_grid():
     trajectory = simulate(spec, grid, field, RB87_MASS, times)
 
     p, dp = grid.points(), grid.spacing
-    split = effective_rabi(block_detuning(p, field, RB87_MASS), field.rabi)
+    split = np.hypot(block_detuning(p, field, RB87_MASS), field.rabi)
     ground, excited = evolve_block_numeric(
         *init_gaussian(spec, grid), p, field, RB87_MASS, times[:, None], 0.002 / split.max()
     )
@@ -725,7 +715,7 @@ def mg24_setup(n_points):
     spec = WavepacketSpec(0.0, 0.05 * abs(field.recoil_momentum))
     grid = MomentumGrid.for_packet(spec, n_points=n_points)
     shift = block_detuning(grid.points(), field, mass)
-    rate = np.abs(shift / effective_rabi(shift, field.rabi)).max() * abs(field.wavenumber) / mass
+    rate = np.abs(shift / np.hypot(shift, field.rabi)).max() * abs(field.wavenumber) / mass
     return spec, grid, field, mass, 2 * math.pi / (rate * grid.spacing)
 
 
