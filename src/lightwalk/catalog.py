@@ -39,7 +39,7 @@ class Species:
 
     def __init__(self, name: str, mass_u: float, transition: str, wavelength_nm: float) -> None:
         # checks, then stores that bypass the frozen __setattr__: the catalog
-        # parser builds one Species per row, and validate parses about 11,600 rows
+        # parser builds one Species per row, and validate parses about 5,950 rows
         if not name.strip():
             raise DomainError("species name must be nonempty")
         if not 0 < mass_u < math.inf:
@@ -156,8 +156,19 @@ def serialize_catalog(catalog: Catalog) -> str:
 
 
 def load_catalog(path: str) -> Catalog:
-    with open(path, encoding="utf-8") as fh:
-        return parse_catalog(fh.read(), source_tag=path)
+    """Read and parse a catalog file; a file that is not UTF-8 is a :class:`CatalogError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "?" stands in for it, so the last
+        # of the lines parse_catalog would count is the line that holds it
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise CatalogError(
+            f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} cannot be decoded", line
+        ) from None
+    return parse_catalog(text, source_tag=path)
 
 
 # Default dataset: ground-state resonance transitions of 24 species.

@@ -198,10 +198,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         steps = max(2, math.ceil(min(_MAX_AUTO_STEPS, 200.0 * args.t_max / field.period)))
     else:
         steps = 200
-    if steps < 2:
-        raise UsageError("need at least 2 time steps")
-    if steps >= MAX_ARRAY_LEN:
-        raise DomainError(f"--steps {steps} is more time samples than an array can hold")
+    if not 2 <= steps < MAX_ARRAY_LEN:
+        raise DomainError(f"simulate needs 2 to {MAX_ARRAY_LEN - 1} time steps, got {steps}")
     times = np.linspace(0.0, args.t_max, steps + 1)
     trajectory = simulate(spec, grid, field, mass_kg, times)
     return _table(

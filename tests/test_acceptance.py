@@ -12,13 +12,14 @@ the Eu-153 row.
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lightwalk import validation
-from lightwalk.catalog import CATALOG_HEADER, embedded_table1
+from lightwalk.catalog import CATALOG_HEADER, Catalog, embedded_table1
 from lightwalk.constants import H_PLANCK, U_ROUNDED
 from lightwalk.planner import average_speed
 from lightwalk.errors import CatalogError
@@ -139,6 +140,23 @@ def test_catalog_roundtrip_fails_on_a_lossy_serializer(monkeypatch):
         return "\n".join([CATALOG_HEADER, *rows]) + "\n"
 
     monkeypatch.setattr(validation, "serialize_catalog", lossy)
+    result = validation.check_catalog_roundtrip()
+    assert result.passed is False
+    mismatches = int(re.search(r"\((\d+) mismatches\)", result.detail).group(1))
+    assert mismatches > 0
+
+
+def test_catalog_roundtrip_fails_on_a_lossy_parser(monkeypatch):
+    # a parser that keeps 15 significant digits of each mass hands the
+    # serializer a catalog that is already rounded
+    parse = validation.parse_catalog
+
+    def lossy(text):
+        catalog = parse(text)
+        entries = [replace(sp, mass_u=float(f"{sp.mass_u:.15g}")) for sp in catalog]
+        return Catalog(tuple(entries), catalog.source_tag)
+
+    monkeypatch.setattr(validation, "parse_catalog", lossy)
     result = validation.check_catalog_roundtrip()
     assert result.passed is False
     mismatches = int(re.search(r"\((\d+) mismatches\)", result.detail).group(1))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lightwalk import DomainError, embedded_table1
 from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, _table, main, run
+from lightwalk.errors import MAX_ARRAY_LEN
 
 # a command's exit code must not depend on the warnings filter
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -66,6 +67,15 @@ def test_catalog_mass_that_underflows_in_kg_exits_4(tmp_path, command):
             encoding="utf-8",
         )
         assert run([*command.split(), "--catalog", str(path)]) == (EXIT_DOMAIN, "")
+
+
+def test_catalog_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"name,mass_u,transition,wavelength_nm\nA-1,2.0,x,500.0\nB-2,2.0,\xff,500.0\n")
+    assert run(["speeds", "--catalog", str(path)]) == (EXIT_FILE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("lightwalk: line 3: ") and err.count("\n") == 1
+    assert str(path) in err and "0xff" in err
 
 
 def test_missing_catalog_file_is_file_error(tmp_path):
@@ -417,6 +427,14 @@ def test_a_count_too_large_for_memory_exits_4(argv, count, capsys):
     err = capsys.readouterr().err
     assert err.startswith("lightwalk: ") and err.count("\n") == 1
     assert "Unable to allocate" in err or str(count) in err
+
+
+@pytest.mark.parametrize("steps", [1, 0, -5])
+def test_too_few_steps_exits_4_like_every_count_flag(steps, capsys):
+    argv = ["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--steps", str(steps)]
+    assert run(argv) == (EXIT_DOMAIN, "")
+    err = capsys.readouterr().err
+    assert err == f"lightwalk: simulate needs 2 to {MAX_ARRAY_LEN - 1} time steps, got {steps}\n"
 
 
 def test_separate_repeated_name_is_usage_error():
