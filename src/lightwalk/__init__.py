@@ -28,21 +28,14 @@ from .dynamics import (
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
-    init_gaussian,
-    kinetic_frequency,
     propagate,
     simulate,
 )
 from .errors import CatalogError, DomainError
-from .oracle import (
-    block_hamiltonian,
-    evolve_block_numeric,
-    rk4_propagate,
-)
+from .oracle import evolve_block_numeric, rk4_propagate
 from .planner import (
     SeparationReport,
     average_speed,
-    packet_width,
     pairwise_gap,
     separation_report,
     speed_table,
@@ -69,17 +62,13 @@ __all__ = [
     "average_speed",
     "bare_frequencies",
     "block_detuning",
-    "block_hamiltonian",
     "closed_form_displacement",
     "closed_form_velocity",
     "dressed_frequencies",
     "embedded_table1",
     "evolve_block_numeric",
-    "init_gaussian",
-    "kinetic_frequency",
     "load_catalog",
     "mass_to_si",
-    "packet_width",
     "pairwise_gap",
     "parse_catalog",
     "propagate",

@@ -6,10 +6,11 @@ Comma-delimited UTF-8 text with the fixed header::
 
     name,mass_u,transition,wavelength_nm
 
-One species per line, exactly four fields. The transition label is free
-text and may contain spaces but no commas. Lines starting with ``#`` and
-blank lines are ignored. Masses are in atomic mass units, wavelengths in
-nanometres; both parsed at full double precision.
+One species per line, exactly four fields. A name or transition label
+holds no comma, line break or surrounding whitespace, and a name does not
+start with ``#`` (:class:`Species` refuses any other). Lines starting with
+``#`` and blank lines are ignored. Masses are in atomic mass units,
+wavelengths in nanometres; both parsed at full double precision.
 
 The default dataset (24 ground-state resonance transitions from Li-7 to
 U-238) is embedded below and served by :func:`embedded_table1`.
@@ -21,11 +22,17 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .errors import CatalogError, DomainError
 
 CATALOG_HEADER = "name,mass_u,transition,wavelength_nm"
+
+
+def _fits_a_field(text: str) -> bool:
+    """Whether a catalog field reads ``text`` back (each line break is whitespace)."""
+    return "," not in text and text.strip() == text and (
+        text.isprintable() or len(text.splitlines()) < 2)
 
 
 @dataclass(frozen=True, init=False)
@@ -42,6 +49,9 @@ class Species:
         # parser builds one Species per row, and validate parses about 5,950 rows
         if not name.strip():
             raise DomainError("species name must be nonempty")
+        if not (_fits_a_field(name) and _fits_a_field(transition)) or name[0] == "#":
+            raise DomainError(f"species {name!r} ({transition!r}) does not fit a catalog line: no "
+                              "comma, line break or surrounding whitespace, no '#' leading a name")
         if not 0 < mass_u < math.inf:
             raise DomainError(f"mass must be finite and positive, got {mass_u}")
         if not 0 < wavelength_nm < math.inf:
@@ -83,19 +93,7 @@ class Catalog:
         return tuple(sp.name for sp in self.entries)
 
 
-def _parse_number(token: str, what: str, line_no: int, column: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise CatalogError(f"{what} is not a number: {token!r}", line_no, column) from None
-    if not math.isfinite(value):
-        raise CatalogError(f"{what} must be finite, got {token!r}", line_no, column)
-    if not value > 0:
-        raise CatalogError(f"{what} must be positive, got {token!r}", line_no, column)
-    return value
-
-
-def _refuse_row(fields: list[str], line_no: int) -> None:
+def _refuse_row(fields: list[str], line_no: int, refusal: ValueError) -> NoReturn:
     """Raise the :class:`CatalogError` that locates the fault in a refused row."""
     if len(fields) != 4:
         raise CatalogError(f"expected 4 comma-separated fields, got {len(fields)}", line_no, 1)
@@ -103,8 +101,17 @@ def _refuse_row(fields: list[str], line_no: int) -> None:
     columns = list(itertools.accumulate((len(f) + 1 for f in fields[:-1]), initial=1))
     if not fields[0].strip():
         raise CatalogError("species name is empty", line_no, columns[0])
-    _parse_number(fields[1].strip(), "mass_u", line_no, columns[1])
-    _parse_number(fields[3].strip(), "wavelength_nm", line_no, columns[3])
+    for i, what in ((1, "mass_u"), (3, "wavelength_nm")):
+        token = fields[i].strip()
+        try:
+            value = float(token)
+        except ValueError:
+            raise CatalogError(f"{what} is not a number: {token!r}", line_no, columns[i]) from None
+        if not math.isfinite(value):
+            raise CatalogError(f"{what} must be finite, got {token!r}", line_no, columns[i])
+        if not value > 0:
+            raise CatalogError(f"{what} must be positive, got {token!r}", line_no, columns[i])
+    raise CatalogError(str(refusal), line_no, 1)  # a refusal the checks above do not locate
 
 
 def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
@@ -133,8 +140,8 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
             name = name.strip()
             # float() ignores the same surrounding whitespace that str.strip() removes
             species = Species(name, float(mass), transition.strip(), float(wavelength))
-        except ValueError:  # a wrong field count, a non-number, or a row Species refuses
-            _refuse_row(fields, line_no)
+        except ValueError as refusal:  # a wrong field count, a non-number, or a refused row
+            _refuse_row(fields, line_no, refusal)
         if name in seen:
             raise CatalogError(
                 f"duplicate species name {name!r} (first defined on line {seen[name]})",

@@ -68,14 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="species catalog file (default: embedded dataset)")
         add_output(p)
 
+    def add_species_field(p: argparse.ArgumentParser) -> None:  # the flags _species_field reads
+        add_common(p)
+        p.add_argument("--species", required=True, help="catalog entry name, e.g. Mg-24")
+        p.add_argument("--omega", type=float, default=1.0e6, help="coupling rad/s (default 1e6)")
+        p.add_argument("--delta", type=float, default=0.0, help="detuning rad/s (default 0)")
+        p.add_argument("--direction", type=int, choices=(1, -1), default=1,
+                       help="light propagation along +x (1, default) or -x (-1)")
+
     p = sub.add_parser("speeds", help="per-species drift speed table (CSV)")
     add_common(p)
 
     p = sub.add_parser("simulate", help="wavepacket trajectory of one species (CSV)")
-    add_common(p)
-    p.add_argument("--species", required=True, help="catalog entry name, e.g. Mg-24")
-    p.add_argument("--omega", type=float, default=1.0e6, help="coupling rad/s (default 1e6)")
-    p.add_argument("--delta", type=float, default=0.0, help="detuning rad/s (default 0)")
+    add_species_field(p)
     p.add_argument("--pi-hbark", type=float, default=0.05,
                    help="packet momentum width in units of hbar*k (default 0.05)")
     p.add_argument("--pc-hbark", type=float, default=0.0,
@@ -89,17 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=4096)
     p.add_argument("--grid-span", type=float, default=6.0,
                    help="grid half-width in packet widths (default 6)")
-    p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("bands", help="dressed vs bare frequency branches (CSV)")
-    add_common(p)
-    p.add_argument("--species", required=True)
-    p.add_argument("--omega", type=float, default=1.0e6)
-    p.add_argument("--delta", type=float, default=0.0)
+    add_species_field(p)
     p.add_argument("--p-min-hbark", type=float, default=-4.0)
     p.add_argument("--p-max-hbark", type=float, default=4.0)
     p.add_argument("--points", type=int, default=501)
-    p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("separate", help="pairwise separation report (CSV)")
     add_common(p)

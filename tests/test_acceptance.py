@@ -133,6 +133,19 @@ def test_validate_command_prints_one_line_per_check():
     assert lines[2] == "passed 2/2 checks"
 
 
+def test_strong_coupling_fails_on_a_velocity_off_by_one_percent_in_frequency(monkeypatch):
+    # a velocity that oscillates 1% fast is 0.19 rad out of phase after the
+    # check's three Rabi periods
+    velocity = validation.closed_form_velocity
+    monkeypatch.setattr(validation, "closed_form_velocity",
+                        lambda t, *rest: velocity(1.01 * t, *rest))
+    result = validation.check_strong_coupling()
+    assert result.passed is False
+    error = float(re.search(r"velocity within (\S+) of the drift speed", result.detail).group(1))
+    assert error > 1e-2
+    assert result.detail.startswith("displacement within ")
+
+
 def test_catalog_roundtrip_fails_on_a_lossy_serializer(monkeypatch):
     def lossy(catalog):
         rows = [f"{sp.name},{sp.mass_u:.15g},{sp.transition},{sp.wavelength_nm:.15g}"

@@ -3,9 +3,10 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import lightwalk.catalog
 from lightwalk import (
     CATALOG_HEADER,
     Catalog,
@@ -189,3 +190,82 @@ def test_species_refusal_messages(fields, message):
     with pytest.raises(DomainError) as err:
         Species(*fields)
     assert str(err.value) == message
+
+
+_FIELD_MESSAGE = "does not fit a catalog line"
+
+
+@pytest.mark.parametrize(
+    "name, transition",
+    [
+        ("A-1", "5s, 2S1/2"),  # a comma splits the row into five fields
+        ("A,1", "x"),
+        ("A-1", "5s\u20282S1/2"),  # every splitlines separator ends the row
+        ("A-1", "5s\n2S1/2"),
+        ("A-1", "5s\r"),
+        ("A\x1c1", "x"),
+        ("A-1", "5s\x852S1/2"),
+        ("A-1", " padded "),  # the parser strips each field
+        ("A-1 ", "x"),
+        ("A-1", "x\t"),
+        ("A-1", "\xa0x"),
+        ("#Eu-153", "x"),  # the parser skips the row as a comment
+    ],
+)
+def test_species_refuses_a_name_or_label_a_catalog_line_cannot_carry(name, transition):
+    with pytest.raises(DomainError) as err:
+        Species(name, 1.0, transition, 500.0)
+    assert _FIELD_MESSAGE in str(err.value)
+
+
+@pytest.mark.parametrize("name, transition", [
+    ("A-1", ""), ("A-1", "5s\t2S1/2"), ("A\xa0#1", "x #y"), ("\ufeffA-1", "\u00e9 \u2003 \u00e9"),
+])
+def test_species_keeps_inner_whitespace_and_a_later_hash(name, transition):
+    species = Species(name, 1.0, transition, 500.0)
+    catalog = Catalog((species,), source_tag="x")
+    assert parse_catalog(serialize_catalog(catalog)).entries == (species,)
+
+
+# names and labels from all of Unicode; half of them hold one character, at any
+# place, that the text format splits, strips or skips
+_field_text = st.builds(
+    lambda text, hazard, at: text[:at] + hazard + text[at:],
+    st.text(max_size=8),
+    st.just("") | st.sampled_from(" ,#\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029"),
+    st.integers(0, 8),
+)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_rows = st.lists(st.tuples(_field_text, _positive, _field_text, _positive), max_size=12)
+
+
+@given(_rows)
+@example([("A-1", 2.0, "5s, label", 500.0)])
+@example([("A-1", 2.0, "5s\u2028label", 500.0)])
+@example([("A-1", 2.0, " padded ", 500.0)])
+@example([("#Eu-153", 152.9, "x", 466.2), ("B-2", 2.0, "x", 500.0)])
+def test_every_catalog_the_constructors_accept_round_trips(rows):
+    entries = {}
+    for row in rows:
+        try:
+            species = Species(*row)
+        except DomainError:
+            continue
+        entries.setdefault(species.name, species)
+    catalog = Catalog(tuple(entries.values()), source_tag="fuzz")
+    assert parse_catalog(serialize_catalog(catalog)).entries == catalog.entries
+
+
+def test_a_refusal_the_row_checks_do_not_locate_still_raises(monkeypatch):
+    # the parser cannot build a row Species refuses for its text; were one refused
+    # anyway, the row must raise, not repeat the previous row's species
+    def refusing(name, *fields):
+        if name == "B-2":
+            raise DomainError("refused for a test")
+        return Species(name, *fields)
+
+    monkeypatch.setattr(lightwalk.catalog, "Species", refusing)
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(HEADER + "A-1,1.0,x,500.0\nB-2,2.0,x,500.0\n")
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert str(err.value) == "line 3, column 1: refused for a test"

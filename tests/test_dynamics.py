@@ -22,20 +22,19 @@ from lightwalk import (
     average_speed,
     bare_frequencies,
     block_detuning,
-    block_hamiltonian,
     closed_form_displacement,
     closed_form_velocity,
     dressed_frequencies,
     embedded_table1,
     evolve_block_numeric,
-    init_gaussian,
-    kinetic_frequency,
     mass_to_si,
-    packet_width,
     propagate,
     simulate,
     wavenumber,
 )
+from lightwalk.dynamics import init_gaussian, kinetic_frequency
+from lightwalk.oracle import block_hamiltonian
+from lightwalk.planner import packet_width
 
 RB87 = embedded_table1().get("Rb-87")
 RB87_MASS = mass_to_si(RB87.mass_u)
@@ -208,10 +207,13 @@ _MASS_CALLS = {
 
 
 def test_mass_calls_cover_every_public_function_taking_a_mass():
-    # a new public function with a mass_kg parameter must be added to _MASS_CALLS
+    # a new public function of a physics module with a mass_kg parameter must be
+    # added to _MASS_CALLS, whether or not the package exports it
     taking_a_mass = {
-        name for name in lightwalk.__all__
-        if inspect.isfunction(func := getattr(lightwalk, name))
+        name
+        for module in (lightwalk.dynamics, lightwalk.oracle, lightwalk.planner)
+        for name, func in inspect.getmembers(module, inspect.isfunction)
+        if func.__module__ == module.__name__ and not name.startswith("_")
         and "mass_kg" in inspect.signature(func).parameters
     }
     assert taking_a_mass == set(_MASS_CALLS)

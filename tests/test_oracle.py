@@ -8,7 +8,6 @@ from lightwalk import (
     DomainError,
     LightField,
     block_detuning,
-    block_hamiltonian,
     embedded_table1,
     evolve_block_numeric,
     mass_to_si,
@@ -16,6 +15,7 @@ from lightwalk import (
     rk4_propagate,
     wavenumber,
 )
+from lightwalk.oracle import block_hamiltonian
 
 RB87 = embedded_table1().get("Rb-87")
 MASS = mass_to_si(RB87.mass_u)

@@ -17,7 +17,6 @@ from lightwalk import (
     embedded_table1,
     evolve_block_numeric,
     mass_to_si,
-    packet_width,
     pairwise_gap,
     propagate,
     rk4_propagate,
@@ -25,7 +24,7 @@ from lightwalk import (
     speed_table,
     wavenumber,
 )
-from lightwalk.planner import _time_to_resolve
+from lightwalk.planner import _time_to_resolve, packet_width
 
 CATALOG = embedded_table1()
 
