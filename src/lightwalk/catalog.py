@@ -155,9 +155,14 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
 
 
 def serialize_catalog(catalog: Catalog) -> str:
-    """Render a catalog back to text; floats use repr so parsing is lossless."""
+    """Render a catalog back to text; floats use repr so parsing is lossless.
+
+    Each number is written as the repr of ``float(x)``, so a numpy float or a
+    bool that ``Species`` holds reads back as the equal Python float.
+    """
     rows = [
-        f"{sp.name},{sp.mass_u!r},{sp.transition},{sp.wavelength_nm!r}" for sp in catalog.entries
+        f"{sp.name},{float(sp.mass_u)!r},{sp.transition},{float(sp.wavelength_nm)!r}"
+        for sp in catalog.entries
     ]
     return "\n".join([CATALOG_HEADER, *rows]) + "\n"
 

@@ -16,7 +16,9 @@ by both constant sets.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
@@ -30,7 +32,8 @@ _NORM_TOL = 1e-12
 # above this (rad): the 9 printed digits of a population would then move
 _PHASE_TOL = 1e-9
 # simulate evaluates time rows in chunks whose (rows x grid points) tables
-# hold about this many doubles, so they stay in cache at any run length
+# hold about this many doubles, so that each worker's tables stay in its
+# core's cache at any run length
 _CHUNK_DOUBLES = 1 << 14
 
 
@@ -296,6 +299,35 @@ def init_gaussian(spec: WavepacketSpec, grid: MomentumGrid):
     return spec.ground_amp * envelope, spec.excited_amp * envelope
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask, not the host's)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int) -> None:
+    """Call ``work(0)`` here and ``work(1)`` ... ``work(workers - 1)`` on helper threads.
+
+    Each helper runs in a copy of the caller's context, so numpy's
+    ``errstate`` (a context variable) holds in it too. Every helper has
+    ended before this returns or raises; then the exception of the first
+    helper that failed, in worker order, propagates here. With one worker
+    no thread starts.
+    """
+    if workers == 1:
+        work(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a run that spreads pays the import
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, work, worker)
+                   for worker in range(1, workers)]
+        work(0)
+    for helper in helpers:
+        helper.result()
+
+
 def simulate(
     spec: WavepacketSpec,
     grid: MomentumGrid,
@@ -316,6 +348,8 @@ def simulate(
     hbar k times the excited population, and the mean position is the
     exact time integral of the mean velocity. Every row is exact on the
     grid: ``times`` only sets which rows are returned, not their accuracy.
+    The rows are evaluated in chunks spread over the CPUs this process may
+    run on; every bit of the result is the same whatever their number.
 
     Raises :class:`DomainError` before any work when the run is out of the
     float phase's or the grid's reach: the rounding error of the largest
@@ -375,17 +409,30 @@ def simulate(
     pop_excited = np.empty(n_t)
     pop_integral = np.empty(n_t)
     rows = max(1, _CHUNK_DOUBLES // len(p))
-    for lo in range(0, n_t, rows):
-        t = times[lo:lo + rows]
-        half = np.multiply.outer(t, 0.5 * split)
-        cos_h, sin_h = np.cos(half), np.sin(half)
-        cross = cos_h * sin_h
-        np.square(cos_h, out=cos_h)
-        np.square(sin_h, out=sin_h)
-        from_sin_sq = sin_h @ on_sin_sq
-        from_cross = cross @ on_cross
-        pop_excited[lo:lo + rows] = cos_h @ w_excited + from_sin_sq[:, 0] + from_cross[:, 0]
-        pop_integral[lo:lo + rows] = drift * t + from_sin_sq[:, 1] + from_cross[:, 1]
+    starts = range(0, n_t, rows)
+    workers = min(_usable_cpus(), len(starts))
+
+    # each worker's three (rows x grid points) tables, allocated here so that no
+    # helper thread allocates a large buffer and grows a malloc arena of its own
+    tables = np.empty((workers, 3, rows, len(p)))
+
+    def fill(worker: int) -> None:
+        # each worker writes only the rows of its own chunks
+        for lo in starts[worker::workers]:
+            t = times[lo:lo + rows]
+            sin_h, cos_h, cross = tables[worker, :, :len(t)]
+            np.multiply.outer(t, 0.5 * split, out=sin_h)  # the half phases St/2
+            np.cos(sin_h, out=cos_h)
+            np.sin(sin_h, out=sin_h)
+            np.multiply(cos_h, sin_h, out=cross)
+            np.square(cos_h, out=cos_h)
+            np.square(sin_h, out=sin_h)
+            from_sin_sq = sin_h @ on_sin_sq
+            from_cross = cross @ on_cross
+            pop_excited[lo:lo + rows] = cos_h @ w_excited + from_sin_sq[:, 0] + from_cross[:, 0]
+            pop_integral[lo:lo + rows] = drift * t + from_sin_sq[:, 1] + from_cross[:, 1]
+
+    _run_workers(fill, workers)
 
     recoil = field.recoil_momentum
     mean_p = mean_p0 + recoil * pop_excited
@@ -407,18 +454,16 @@ def closed_form_displacement(t, spec: WavepacketSpec, field: LightField, mass_kg
         x(t) = x0 + pc t / M + (n0 - n1) (hbar k / 2M) (t - sin(W t) / W)
 
     Valid when the coupling dominates every block shift on the packet.
+    At W = 0 it is free flight, x0 + pc t / M, like the velocity's form: it
+    writes sin(W t) / W as t sinc(W t / pi), whose limit at W = 0 is t.
     ``t`` may be an array; a scalar ``t`` gives a float.
     """
     t = check_time(t)
-    rabi = field.rabi
-    if rabi <= 0:
-        raise DomainError("closed-form displacement needs a positive coupling "
-                          "(use free flight for an uncoupled atom)")
     drift = spec.population_difference * field.recoil_momentum / (2.0 * check_mass_kg(mass_kg))
     x = (
         spec.initial_position
         + spec.center_momentum * t / mass_kg
-        + drift * (t - np.sin(rabi * t) / rabi)
+        + drift * (t - t * np.sinc(field.rabi * t / math.pi))
     )
     return float(x) if np.ndim(x) == 0 else x
 

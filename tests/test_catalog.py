@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -235,7 +236,12 @@ _field_text = st.builds(
     st.just("") | st.sampled_from(" ,#\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029"),
     st.integers(0, 8),
 )
-_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Python floats, and numpy float64 and float32 values, which Species also holds
+_positive = (
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(np.float64)
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32).map(np.float32)
+)
 _rows = st.lists(st.tuples(_field_text, _positive, _field_text, _positive), max_size=12)
 
 
@@ -244,6 +250,8 @@ _rows = st.lists(st.tuples(_field_text, _positive, _field_text, _positive), max_
 @example([("A-1", 2.0, "5s\u2028label", 500.0)])
 @example([("A-1", 2.0, " padded ", 500.0)])
 @example([("#Eu-153", 152.9, "x", 466.2), ("B-2", 2.0, "x", 500.0)])
+@example([("A-1", np.float64(2.0), "x", np.float32(466.2)), ("B-2", np.float32(2.1), "x",
+                                                              np.float64(500.0))])
 def test_every_catalog_the_constructors_accept_round_trips(rows):
     entries = {}
     for row in rows:

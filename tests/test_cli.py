@@ -103,6 +103,15 @@ def test_simulate_uncoupled_is_free_flight():
     assert all(float(r[4]) == pytest.approx(1.0, abs=1e-12) for r in rows)
 
 
+def test_simulate_uncoupled_without_steps_uses_200(capsys):
+    code, out = run(["simulate", "--species", "Mg-24", "--t-max", "1e-6", "--omega", "0"])
+    assert code == EXIT_OK
+    _, rows = rows_of(out)
+    assert len(rows) == 201
+    assert float(rows[-1][0]) == 1e-6
+    assert capsys.readouterr().err == ""
+
+
 def test_separate_magnesium_pair():
     code, out = run(["separate", "--pair", "Mg-24,Mg-25", "--t", "42e-6"])
     assert code == EXIT_OK
@@ -154,6 +163,13 @@ def test_output_file(tmp_path):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("name,mass_u")
+
+
+def test_output_naming_a_directory_exits_3(tmp_path, capsys):
+    assert run(["speeds", "--output", str(tmp_path)]) == (EXIT_FILE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("lightwalk: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 def test_deterministic_output():

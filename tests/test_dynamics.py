@@ -3,8 +3,11 @@ import dataclasses
 import inspect
 import io
 import math
+import os
 import pickle
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from lightwalk import (
     simulate,
     wavenumber,
 )
+from lightwalk.cli import EXIT_DOMAIN, run
 from lightwalk.dynamics import init_gaussian, kinetic_frequency
 from lightwalk.oracle import block_hamiltonian
 from lightwalk.planner import packet_width
@@ -743,6 +747,130 @@ def test_simulate_refuses_runs_past_the_aliasing_horizon_or_float_phase():
         simulate(spec, grid, strong, mass, [0.0, 1e-6])
 
 
+# ------------------------------------------------------ simulate's worker split
+
+
+def split_setup(n_times):
+    """4096 grid points, so 4 time rows per chunk: 29 times make 8 chunks, 3 make one."""
+    spec = packet(center_hbark=0.3, width_hbark=0.1, ground=0.6, excited=0.8j, x0=1e-6)
+    field = LightField(RB87_WAVELENGTH, rabi=1e6, detuning=0.4e6)
+    grid = MomentumGrid.for_packet(spec, n_points=4096)
+    return spec, grid, field, np.linspace(0.0, 3 * field.period, n_times)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def trajectory_bytes(trajectory):
+    return [getattr(trajectory, f.name).tobytes() for f in dataclasses.fields(trajectory)]
+
+
+@pytest.mark.parametrize("n_times, chunks", [(29, 8), (3, 1)])
+@pytest.mark.parametrize("cpus", [2, 3, 7])
+def test_simulate_gives_the_same_bytes_on_any_worker_count(
+    monkeypatch, started_threads, cpus, n_times, chunks
+):
+    spec, grid, field, times = split_setup(n_times)
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 1)
+    serial = simulate(spec, grid, field, RB87_MASS, times)
+    assert started_threads == []
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: cpus)
+    spread = simulate(spec, grid, field, RB87_MASS, times)
+    assert trajectory_bytes(spread) == trajectory_bytes(serial)
+    # at most one helper per worker past the caller (a helper that is done takes the
+    # next share); none with one chunk; none outlives the call
+    workers = min(cpus, chunks)
+    assert 0 < len(started_threads) < workers if workers > 1 else started_threads == []
+    assert not any(thread.is_alive() for thread in started_threads)
+
+
+def test_simulate_rows_survive_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching every microsecond: a row written by two
+    # workers, or lost by one, changes the bytes
+    spec, grid, field, times = split_setup(401)
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 1)
+    serial = trajectory_bytes(simulate(spec, grid, field, RB87_MASS, times))
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert trajectory_bytes(simulate(spec, grid, field, RB87_MASS, times)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_usable_cpus_counts_the_affinity_mask_not_the_host(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert lightwalk.dynamics._usable_cpus() == 2
+    # only a platform without affinity masks falls back to the host count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert lightwalk.dynamics._usable_cpus() == 64
+
+
+def fail_off_the_main_thread(monkeypatch, error):
+    """Make np.cos raise ``error`` in every thread but the main one."""
+    real_cos = np.cos
+
+    def cos(x, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return real_cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", cos)
+
+
+def test_a_helper_exception_leaves_simulate_after_every_helper_ends(
+    monkeypatch, started_threads
+):
+    spec, grid, field, times = split_setup(29)
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 3)
+    fail_off_the_main_thread(monkeypatch, ValueError("helper failed"))
+    with pytest.raises(ValueError, match="helper failed"):
+        simulate(spec, grid, field, RB87_MASS, times)
+    assert started_threads and not any(thread.is_alive() for thread in started_threads)
+
+
+def test_a_helper_memory_error_exits_4(monkeypatch, started_threads, capsys):
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 2)
+    fail_off_the_main_thread(monkeypatch, MemoryError("no memory in a helper"))
+    assert run(["simulate", "--species", "Rb-87", "--t-max", "1e-4"]) == (EXIT_DOMAIN, "")
+    assert capsys.readouterr().err == "lightwalk: no memory in a helper\n"
+    assert len(started_threads) == 1 and not started_threads[0].is_alive()
+
+
+def test_helpers_keep_the_callers_float_error_policy(monkeypatch):
+    spec, grid, field, times = split_setup(29)
+    monkeypatch.setattr(lightwalk.dynamics, "_usable_cpus", lambda: 3)
+    seen = []
+    real_cos = np.cos
+
+    def cos(x, *args, **kwargs):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return real_cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", cos)
+    with np.errstate(over="ignore", invalid="raise", divide="ignore", under="warn"):
+        policy = np.geterr()
+        simulate(spec, grid, field, RB87_MASS, times)
+    helpers = [state for on_main, state in seen if not on_main]
+    assert len(helpers) == 8 - 3  # chunks 1, 2, 4, 5 and 7
+    assert all(state == policy for state in helpers)
+    assert policy != np.geterr()
+
+
 def test_strong_coupling_convergence():
     errors = []
     for ratio in (10.0, 100.0, 1000.0):
@@ -785,10 +913,18 @@ def test_closed_form_displacement_balanced_populations():
     )
 
 
-def test_closed_form_displacement_requires_coupling():
+def test_closed_forms_at_zero_coupling_are_free_flight():
     field = LightField(RB87_WAVELENGTH, rabi=0.0)
-    with pytest.raises(DomainError):
-        closed_form_displacement(1e-6, WavepacketSpec(0.0, 1e-28), field, RB87_MASS)
+    spec = WavepacketSpec(1e-28, 1e-28, initial_position=2e-6)
+    times = np.linspace(0.0, 1e-3, 11)
+    free_velocity = spec.center_momentum / RB87_MASS
+    assert closed_form_velocity(times, spec, field, RB87_MASS).tolist() == [free_velocity] * 11
+    assert closed_form_velocity(1e-6, spec, field, RB87_MASS) == free_velocity
+    position = closed_form_displacement(times, spec, field, RB87_MASS)
+    assert position.tolist() == (2e-6 + spec.center_momentum * times / RB87_MASS).tolist()
+    assert closed_form_displacement(1e-6, spec, field, RB87_MASS) == pytest.approx(
+        2e-6 + free_velocity * 1e-6, rel=1e-15
+    )
 
 
 def test_closed_form_velocity_values():
