@@ -47,9 +47,9 @@ class Species:
     def __init__(self, name: str, mass_u: float, transition: str, wavelength_nm: float) -> None:
         # checks, then stores that bypass the frozen __setattr__: the catalog
         # parser builds one Species per row, and validate parses about 5,950 rows
-        if not name.strip():
-            raise DomainError("species name must be nonempty")
-        if not (_fits_a_field(name) and _fits_a_field(transition)) or name[0] == "#":
+        if not (name and name[0] != "#" and _fits_a_field(name) and _fits_a_field(transition)):
+            if not name.strip():
+                raise DomainError("species name must be nonempty")
             raise DomainError(f"species {name!r} ({transition!r}) does not fit a catalog line: no "
                               "comma, line break or surrounding whitespace, no '#' leading a name")
         if not 0 < mass_u < math.inf:
@@ -63,19 +63,19 @@ class Species:
         fields["wavelength_nm"] = wavelength_nm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Catalog:
     entries: tuple[Species, ...]
     source_tag: str
     _by_name: dict[str, Species] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        by_name = {sp.name: sp for sp in self.entries}
-        if len(by_name) != len(self.entries):
-            names = [sp.name for sp in self.entries]
+    def __init__(self, entries: tuple[Species, ...], source_tag: str) -> None:
+        by_name = {sp.name: sp for sp in entries}
+        if len(by_name) != len(entries):
+            names = [sp.name for sp in entries]
             duplicate = next(n for i, n in enumerate(names) if n in names[:i])
             raise CatalogError(f"duplicate species name {duplicate!r}")
-        object.__setattr__(self, "_by_name", by_name)
+        self.__dict__.update(entries=entries, source_tag=source_tag, _by_name=by_name)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,7 +125,7 @@ def parse_catalog(text: str, source_tag: str = "<string>") -> Catalog:
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if not header_seen:
             if line.replace(" ", "") != CATALOG_HEADER:

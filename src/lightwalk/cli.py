@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.0, help="initial mean position m")
     p.add_argument("--t-max", type=float, required=True, help="final time s")
     p.add_argument("--steps", type=int, default=None,
-                   help="time samples after t=0 (default: 200 per Rabi period)")
+                   help=f"time samples after t=0 (default: 200 per Rabi period, clipped to 2 to "
+                        f"{_MAX_AUTO_STEPS}; 200 at --omega 0)")
     p.add_argument("--grid-points", type=int, default=4096)
     p.add_argument("--grid-span", type=float, default=6.0,
                    help="grid half-width in packet widths (default 6)")

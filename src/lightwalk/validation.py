@@ -295,31 +295,32 @@ def _random_catalogs(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
 
     Each field is one draw over the rows of all catalogs, in this order:
     row counts, masses U(1, 300) u, wavelengths U(100, 2000) nm, the two
-    integers of the transition label and the integer of the name. A text
-    is built from its slice of the draws only when the iterator reaches it.
+    integers of the transition label and the integer of the name. The rows
+    are written 64 catalogs at a time, when the iterator reaches them.
     """
     rows = rng.integers(0, 12, size=count)
     total = int(rows.sum())
+    bounds = np.concatenate(([0], np.cumsum(rows)))
     columns = (
+        np.arange(total) - np.repeat(bounds[:-1], rows),  # each row's index in its catalog
         rng.uniform(1.0, 300.0, total),
         rng.uniform(100.0, 2000.0, total),
         rng.integers(1, 8, total),
         rng.integers(1, 4, total),
         rng.integers(1, 300, total),
     )
-    stops = np.cumsum(rows).tolist()
 
     def texts() -> Iterator[str]:
-        start = 0
-        for stop in stops:
-            lines = [
-                f"Sp{i}-{suffix},{mass!r},{shell}s {term}S1/2,{wavelength!r}"
-                for i, (mass, wavelength, shell, term, suffix) in enumerate(
-                    zip(*(column[start:stop].tolist() for column in columns))
-                )
-            ]
-            yield "\n".join([CATALOG_HEADER, *lines]) + "\n"
-            start = stop
+        # one comprehension per block: a catalog has too few rows to pay for its own slices
+        for lo in range(0, count, 64):
+            first, last = bounds[lo], bounds[min(lo + 64, count)]
+            lines = iter([
+                f"Sp{i}-{suffix},{mass!r},{shell}s {term}S1/2,{wavelength!r}\n"
+                for i, mass, wavelength, shell, term, suffix in zip(
+                    *(column[first:last].tolist() for column in columns))
+            ])
+            for n in rows[lo:lo + 64].tolist():
+                yield CATALOG_HEADER + "\n" + "".join(itertools.islice(lines, n))
 
     return rows, texts()
 
@@ -338,10 +339,8 @@ def check_catalog_roundtrip() -> CheckResult:
     rows, texts = _random_catalogs(rng, roundtrips + trials)
     # a bad line goes anywhere after the header: position p makes it line p + 1
     positions = rng.integers(1, rows[roundtrips:] + 2).tolist()
-    mismatches = 0
-    for text in itertools.islice(texts, roundtrips):
-        if serialize_catalog(parse_catalog(text)) != text:
-            mismatches += 1
+    mismatches = sum(serialize_catalog(parse_catalog(text)) != text
+                     for text in itertools.islice(texts, roundtrips))
 
     bad_line_hits = 0
     for text, position in zip(texts, positions):
@@ -397,5 +396,5 @@ ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
 
 
 def run_checks(names: Sequence[str] | None = None) -> list[CheckResult]:
-    """Run the named checks in the order given, or every check in ALL_CHECKS."""
-    return [ALL_CHECKS[name]() for name in names or ALL_CHECKS]
+    """Run each named check once, in the order first named, or every check in ALL_CHECKS."""
+    return [ALL_CHECKS[name]() for name in dict.fromkeys(names or ALL_CHECKS)]

@@ -11,6 +11,7 @@ the Eu-153 row.
 """
 
 import ast
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -209,6 +210,10 @@ def test_catalog_roundtrip_draws():
             assert 1.0 <= float(mass) < 300.0 and 100.0 <= float(wavelength) < 2000.0
     _, again = validation._random_catalogs(np.random.default_rng(7), count)
     assert list(again) == texts
+    # every byte: a rewrite of the writer must keep each draw, its order and its digits
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "50709991b0fa01e4eee7402877609adf835c777d14202403e9c0e1911503cd63"
+    )
 
 
 def test_every_list_of_check_names_agrees():

@@ -185,6 +185,14 @@ def test_species_is_a_frozen_value_with_four_fields():
         ((" ", 1.0, "x", 500.0), "species name must be nonempty"),
         (("A-1", 0.0, "x", 500.0), "mass must be finite and positive, got 0.0"),
         (("A-1", 1.0, "x", math.nan), "wavelength must be finite and positive, got nan"),
+        # where two rules fail, the first of name, field fit, mass, wavelength wins
+        ((" ", 1.0, "5s, 2S1/2", 500.0), "species name must be nonempty"),
+        (("#A-1", 1.0, "5s, 2S1/2", 500.0),
+         "species '#A-1' ('5s, 2S1/2') does not fit a catalog line: no comma, line break or "
+         "surrounding whitespace, no '#' leading a name"),
+        (("A,1", math.nan, "x", 500.0),
+         "species 'A,1' ('x') does not fit a catalog line: no comma, line break or "
+         "surrounding whitespace, no '#' leading a name"),
     ],
 )
 def test_species_refusal_messages(fields, message):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightwalk import DomainError, embedded_table1
+from lightwalk import DomainError, cli, embedded_table1
 from lightwalk.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, _table, main, run
 from lightwalk.errors import MAX_ARRAY_LEN
 
@@ -110,6 +110,21 @@ def test_simulate_uncoupled_without_steps_uses_200(capsys):
     assert len(rows) == 201
     assert float(rows[-1][0]) == 1e-6
     assert capsys.readouterr().err == ""
+
+
+def test_simulate_default_steps_are_200_per_period_clipped_to_2_and_the_cap(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_AUTO_STEPS", 50)  # the real cap takes 100,001 rows to reach
+    cases = [
+        ("1e-6", "1e6", 33),  # ceil(200 * 1e-6 s / 6.28e-6 s) = 32 steps
+        ("1e-2", "1e6", 51),  # 318,310 steps by the rule, clipped to the cap
+        ("1e-6", "1e-300", 3),  # under one step by the rule, raised to 2
+    ]
+    for t_max, omega, n_rows in cases:
+        argv = ["simulate", "--species", "Rb-87", "--t-max", t_max, "--omega", omega,
+                "--grid-points", "64"]
+        code, out = run(argv)
+        assert code == EXIT_OK
+        assert len(rows_of(out)[1]) == n_rows
 
 
 def test_separate_magnesium_pair():
@@ -463,6 +478,21 @@ def test_validate_single_check():
     assert code == EXIT_OK
     assert out.startswith("PASS catalog-roundtrip:")
     assert out.strip().endswith("passed 1/1 checks")
+
+
+def test_validate_runs_a_check_named_twice_once():
+    argv = ["validate", "--only", "figure3-gaps", "--only", "resonant-rabi", "--only", "figure3-gaps"]
+    code, out = run(argv)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS figure3-gaps", "PASS resonant-rabi", "passed 2/2 checks"
+    ]
+    code, out = run(["validate", "--only", "figure3-gaps", "--only", "figure3-gaps"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("PASS figure3-gaps:")
+    assert lines[1] == "passed 1/1 checks"
 
 
 def test_the_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
