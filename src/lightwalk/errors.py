@@ -6,8 +6,10 @@ import sys
 import numpy as np
 
 MIN_MASS_KG = sys.float_info.min
-# the most float64 values an array may hold: numpy refuses more bytes than sys.maxsize
-MAX_ARRAY_LEN = sys.maxsize // 8
+# the most points a count flag may ask for: half the float64 values that numpy can size
+# (sys.maxsize bytes), since np.linspace counts its points in a float, and the top 64
+# counts below sys.maxsize // 8 round up past it there
+MAX_ARRAY_LEN = sys.maxsize // 16
 
 
 class DomainError(ValueError):

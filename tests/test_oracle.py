@@ -125,6 +125,36 @@ def test_broadcasts_like_propagate():
     assert np.abs(excited - exact[1]).max() < 1e-8
 
 
+def test_one_broadcast_call_equals_the_separate_calls_bit_for_bit():
+    # validate's oracle checks batch their sweeps; its printed digits rest on this equality
+    rng = np.random.default_rng(8)
+    rabi = 1e6
+    period = 2 * math.pi / rabi
+    field = field_with_shift(0.5 * rabi, rabi)
+    inits = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+    checkpoints = np.array([2, 4, 6, 8, 10])[:, None] * period
+    batch = evolve_block_numeric(*inits.T, 0.0, field, MASS, checkpoints, 0.002 / rabi)
+    for i, checkpoint in enumerate((2, 4, 6, 8, 10)):
+        alone = evolve_block_numeric(*inits.T, 0.0, field, MASS, checkpoint * period, 0.002 / rabi)
+        assert np.array_equal(batch[0][i], alone[0]) and np.array_equal(batch[1][i], alone[1])
+
+    split = float(np.hypot(2 * rabi, rabi))
+    stiff = field_with_shift(2 * rabi, rabi)
+    dts = np.array([0.02, 0.01]) / split
+    batch = evolve_block_numeric(1.0, 0.0, 0.0, stiff, MASS, 10 * period, dts)
+    for i, dt in enumerate((0.02 / split, 0.01 / split)):
+        alone = evolve_block_numeric(1.0, 0.0, 0.0, stiff, MASS, 10 * period, dt)
+        assert np.array_equal(batch[0][i], alone[0]) and np.array_equal(batch[1][i], alone[1])
+
+    # the resonant pulse list holds the half-period transfer pulse pi / rabi
+    resonant = field_with_shift(0.0, rabi)
+    pulses = np.array([0.25, 0.5, 1.0, 1.75]) * period
+    assert pulses[1] == math.pi / rabi
+    _, batch = evolve_block_numeric(1.0, 0.0, 0.0, resonant, MASS, pulses, 0.002 / rabi)
+    _, alone = evolve_block_numeric(1.0, 0.0, 0.0, resonant, MASS, math.pi / rabi, 0.002 / rabi)
+    assert np.array_equal(batch[1], alone)
+
+
 def test_randomized_agreement_batch():
     # 100 random (shift, coupling, init) tuples, each over 10 of its own periods
     rng = np.random.default_rng(99)
